@@ -170,16 +170,21 @@ TEST(Golden, DumpStatsBaseline)
     compareOrRegen("dump_stats.txt", os.str());
 }
 
-TEST(Golden, DumpStatsTraceReplayBothSchedulers)
+namespace
 {
-    // The checked-in replay.trace pins the file-backed workload path
-    // end to end: text parsing, launch-shape defaulting and the
-    // replay cursor. The same run must come out byte-identical under
-    // both scheduler modes before it is compared to the snapshot --
-    // trace replay gets no laxer determinism than synthetic runs.
+
+/**
+ * Replay golden trace @p file on the baseline under both scheduler
+ * modes; the two dumps must be byte-identical before the lockstep one
+ * is compared to snapshot @p snapshot -- trace replay gets no laxer
+ * determinism than synthetic runs.
+ */
+void
+compareTraceReplay(const std::string &file, const std::string &snapshot)
+{
     std::string err;
-    auto trace = loadTraceFile(
-        std::string(BWSIM_GOLDEN_DIR) + "/replay.trace", err);
+    auto trace =
+        loadTraceFile(std::string(BWSIM_GOLDEN_DIR) + "/" + file, err);
     ASSERT_NE(trace, nullptr) << err;
     const WorkloadSpec spec = makeTraceWorkload(trace);
 
@@ -198,5 +203,22 @@ TEST(Golden, DumpStatsTraceReplayBothSchedulers)
     const std::string lockstep = dump(SchedulerMode::Lockstep);
     const std::string skip = dump(SchedulerMode::Skip);
     EXPECT_EQ(lockstep, skip);
-    compareOrRegen("dump_stats_trace.txt", lockstep);
+    compareOrRegen(snapshot, lockstep);
+}
+
+} // namespace
+
+TEST(Golden, DumpStatsTraceReplayBothSchedulers)
+{
+    // The checked-in replay.trace pins the file-backed workload path
+    // end to end: text parsing, launch-shape defaulting and the
+    // untagged round-robin replay over all launched warps.
+    compareTraceReplay("replay.trace", "dump_stats_trace.txt");
+}
+
+TEST(Golden, DumpStatsTaggedTraceReplayBothSchedulers)
+{
+    // The CTA-tagged twin: launch shape from the largest tag, CTAs
+    // with no records, and round-robin among each CTA's own warps.
+    compareTraceReplay("replay_tagged.trace", "dump_stats_trace_tagged.txt");
 }

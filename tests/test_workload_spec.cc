@@ -22,7 +22,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -33,6 +35,7 @@
 #include "sim/sim_speed.hh"
 #include "workloads/generators.hh"
 #include "workloads/profile.hh"
+#include "workloads/trace_gen.hh"
 #include "workloads/trace_source.hh"
 #include "workloads/workload_spec.hh"
 
@@ -84,6 +87,253 @@ busyTrace()
         // Spread over many lines and DRAM rows, with some reuse.
         r.addr = 0x10000 + static_cast<Addr>((i * 37) % 192) * 128 +
                  static_cast<Addr>(i % 5) * 64 * 1024;
+        t->records.push_back(r);
+    }
+    sealTrace(*t);
+    return t;
+}
+
+/** One row of the parser conformance table: the input, then either
+ *  the exact records it must produce or the exact diagnostic. */
+struct ParseCase
+{
+    const char *what;
+    std::string text;
+    std::vector<TraceRecord> records; ///< expected when err is empty
+    std::string err;                  ///< exact rejection message
+};
+
+TraceRecord
+rec(Op op, Addr addr, std::int32_t cta = -1)
+{
+    TraceRecord r;
+    r.op = op;
+    r.addr = addr;
+    r.cta = cta;
+    return r;
+}
+
+/** A line of exactly @p bytes: a valid record padded with spaces. */
+std::string
+paddedLine(std::size_t bytes)
+{
+    std::string line = "ld 0x1000";
+    line.resize(bytes, ' ');
+    return line;
+}
+
+std::vector<ParseCase>
+parseConformanceTable()
+{
+    const std::string exceeds = "bad.trace:1: line exceeds 512 bytes";
+    return {
+        {"tabs and runs of spaces",
+         "ld\t0x10\n\t st   0x20  \t\n",
+         {rec(Op::Load, 0x10), rec(Op::Store, 0x20)}, ""},
+        {"vertical tab and form feed separate tokens",
+         "ld\v0x10\f1\n", {rec(Op::Load, 0x10, 1)}, ""},
+        {"CRLF line endings", "ld 0x10\r\nst 0x20\r\n",
+         {rec(Op::Load, 0x10), rec(Op::Store, 0x20)}, ""},
+        {"CRLF line endings, tagged", "ld 0x10 0\r\nst 0x20 3\r\n",
+         {rec(Op::Load, 0x10, 0), rec(Op::Store, 0x20, 3)}, ""},
+        {"no newline after the last record", "ld 0x10",
+         {rec(Op::Load, 0x10)}, ""},
+        {"whole-line and indented comments, blank lines",
+         "# header\n\n   \t\n  # indented\nld 0x10\n",
+         {rec(Op::Load, 0x10)}, ""},
+        {"a first token starting with '#' comments the line",
+         "#ld 0x10\nld 0x20\n", {rec(Op::Load, 0x20)}, ""},
+        {"'#' after the address is not a comment", "ld 0x10 # note\n",
+         {}, "bad.trace:1: malformed CTA tag '#'"},
+        {"all type aliases",
+         "ld 1\nload 2\nr 3\nst 4\nstore 5\nw 6\n",
+         {rec(Op::Load, 1), rec(Op::Load, 2), rec(Op::Load, 3),
+          rec(Op::Store, 4), rec(Op::Store, 5), rec(Op::Store, 6)},
+         ""},
+        {"hex, octal and decimal addresses",
+         "ld 0x1F\nld 0X20\nld 017\nld 42\nld 0\n",
+         {rec(Op::Load, 0x1f), rec(Op::Load, 0x20), rec(Op::Load, 15),
+          rec(Op::Load, 42), rec(Op::Load, 0)},
+         ""},
+        {"strtoull accepts a sign", "ld +16\nld -1\n",
+         {rec(Op::Load, 16), rec(Op::Load, ~Addr(0))}, ""},
+        {"strtoull stops at an embedded NUL",
+         std::string("ld 0x10\0zz\n", 11), {rec(Op::Load, 0x10)}, ""},
+        {"bare hex digits are not an address", "ld ff\n", {},
+         "bad.trace:1: malformed address 'ff'"},
+        {"8 is not an octal digit", "ld 08\n", {},
+         "bad.trace:1: malformed address '08'"},
+        {"address overflow", "ld 0x10000000000000000\n", {},
+         "bad.trace:1: malformed address '0x10000000000000000'"},
+        {"unknown type on a later line", "ld 0x10\nfetch 0x20\n", {},
+         "bad.trace:2: unknown access type 'fetch' "
+         "(expected ld/load/r or st/store/w)"},
+        {"types are case-sensitive", "LD 0x10\n", {},
+         "bad.trace:1: unknown access type 'LD' "
+         "(expected ld/load/r or st/store/w)"},
+        {"missing address", "ld\n", {}, "bad.trace:1: missing address"},
+        {"missing address before CRLF", "st  \r\n", {},
+         "bad.trace:1: missing address"},
+        {"trailing garbage", "ld 0x10 1 x\n", {},
+         "bad.trace:1: trailing garbage 'x'"},
+        {"hex and octal CTA tags", "ld 0x10 0x2\nld 0x20 010\n",
+         {rec(Op::Load, 0x10, 2), rec(Op::Load, 0x20, 8)}, ""},
+        {"largest int32 tag", "ld 0x10 0x7fffffff\n",
+         {rec(Op::Load, 0x10, 0x7fffffff)}, ""},
+        {"tag past int32", "ld 0x10 0x80000000\n", {},
+         "bad.trace:1: malformed CTA tag '0x80000000'"},
+        {"negative tag", "ld 0x10 -1\n", {},
+         "bad.trace:1: malformed CTA tag '-1'"},
+        {"non-numeric tag", "ld 0x10 a\n", {},
+         "bad.trace:1: malformed CTA tag 'a'"},
+        {"tagged and untagged records mixed", "ld 0x10 0\nld 0x20\n", {},
+         "bad.trace: mixes CTA-tagged and untagged records"},
+        {"empty input", "", {}, "bad.trace: trace contains no records"},
+        {"only comments", "# nothing here\n\n", {},
+         "bad.trace: trace contains no records"},
+        {"a line of exactly 512 bytes", paddedLine(512) + "\n",
+         {rec(Op::Load, 0x1000)}, ""},
+        {"512 bytes plus the CR of a CRLF", paddedLine(512) + "\r\n",
+         {rec(Op::Load, 0x1000)}, ""},
+        {"a line of 513 bytes", paddedLine(513) + "\n", {}, exceeds},
+        {"a 513-byte last line without newline", paddedLine(513), {},
+         exceeds},
+        {"an oversized later line",
+         "ld 0x10\n" + paddedLine(513) + "\n", {},
+         "bad.trace:2: line exceeds 512 bytes"},
+        {"a multi-megabyte line", paddedLine(4 << 20) + "\n", {},
+         exceeds},
+    };
+}
+
+/** One emitted instruction, reduced to what replay decides. */
+struct Emitted
+{
+    Op op;
+    Addr line;
+    int dest;
+    Addr pc;
+    bool operator==(const Emitted &o) const
+    {
+        return op == o.op && line == o.line && dest == o.dest &&
+               pc == o.pc;
+    }
+};
+
+std::ostream &
+operator<<(std::ostream &os, const Emitted &e)
+{
+    return os << (e.op == Op::Store ? "st" : "ld") << " 0x" << std::hex
+              << e.line << std::dec << " dest=" << e.dest
+              << " pc=0x" << std::hex << e.pc << std::dec;
+}
+
+/**
+ * Reference replay: a linear scan over the whole trace that keeps
+ * the records owned by warp (cta_seq, warp_in_cta). Tagged traces
+ * hand a CTA's records round-robin to its warps in file order;
+ * untagged traces hand record i to global warp i mod totalWarps.
+ */
+std::vector<Emitted>
+referenceReplay(const WorkloadSpec &spec, std::uint64_t cta_seq,
+                int warp_in_cta, std::uint32_t line_bytes)
+{
+    const TraceData &t = *spec.trace;
+    const std::uint64_t wpc = spec.profile.warpsPerCta;
+    const std::uint64_t total = spec.profile.numCtas * wpc;
+    const std::uint64_t global = cta_seq * wpc + warp_in_cta;
+    std::vector<Emitted> out;
+    std::uint64_t seen = 0;
+    for (std::size_t i = 0; i < t.records.size(); ++i) {
+        const TraceRecord &r = t.records[i];
+        bool mine;
+        if (t.ctaTagged) {
+            if (r.cta != static_cast<std::int32_t>(cta_seq))
+                continue;
+            mine = seen++ % wpc == static_cast<std::uint64_t>(warp_in_cta);
+        } else {
+            mine = i % total == global;
+        }
+        if (!mine)
+            continue;
+        const std::uint64_t k = out.size();
+        out.push_back({r.op, r.addr & ~Addr(line_bytes - 1),
+                       r.op == Op::Load
+                           ? 1 + static_cast<int>(k % (numModelRegs - 1))
+                           : -1,
+                       wl_layout::codeBase + (k % 64) * wl_layout::instBytes});
+    }
+    return out;
+}
+
+std::vector<Emitted>
+cursorReplay(const WorkloadSpec &spec, std::uint64_t cta_seq,
+             int warp_in_cta, std::uint32_t line_bytes)
+{
+    auto cur = makeWorkloadCursor(spec, 0, cta_seq, warp_in_cta,
+                                  line_bytes);
+    std::vector<Emitted> out;
+    WarpInstData inst;
+    while (!cur->done()) {
+        const Addr pc = cur->nextPc();
+        EXPECT_TRUE(cur->next(inst));
+        EXPECT_EQ(inst.pc, pc);
+        EXPECT_EQ(inst.lineAddrs.size(), 1u);
+        out.push_back({inst.op, inst.lineAddrs.at(0), inst.dest, inst.pc});
+    }
+    EXPECT_FALSE(cur->next(inst));
+    return out;
+}
+
+/** Every launched warp (and one CTA past the launch) emits exactly
+ *  the reference sequence, and together they cover every record. */
+void
+expectReplayMatchesReference(const WorkloadSpec &spec)
+{
+    constexpr std::uint32_t line_bytes = 128;
+    std::size_t emitted = 0;
+    for (int cta = 0; cta <= spec.profile.numCtas; ++cta) {
+        for (int w = 0; w < spec.profile.warpsPerCta; ++w) {
+            SCOPED_TRACE(::testing::Message()
+                         << "cta " << cta << " warp " << w);
+            const auto want = referenceReplay(spec, cta, w, line_bytes);
+            EXPECT_EQ(cursorReplay(spec, cta, w, line_bytes), want);
+            if (cta < spec.profile.numCtas)
+                emitted += want.size();
+        }
+    }
+    EXPECT_EQ(emitted, spec.trace->records.size());
+}
+
+/** @p n records with tags drawn from @p tags, interleaved. */
+std::shared_ptr<const TraceData>
+interleavedTaggedTrace(std::size_t n, const std::vector<std::int32_t> &tags)
+{
+    auto t = std::make_shared<TraceData>();
+    t->sourceName = "interleaved";
+    t->ctaTagged = true;
+    std::uint64_t x = 12345;
+    for (std::size_t i = 0; i < n; ++i) {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        TraceRecord r;
+        r.op = (x >> 40) % 5 < 2 ? Op::Store : Op::Load;
+        r.addr = 0x100000 + (x >> 20) % 4096 * 32;
+        r.cta = tags[(x >> 33) % tags.size()];
+        t->records.push_back(r);
+    }
+    sealTrace(*t);
+    return t;
+}
+
+std::shared_ptr<const TraceData>
+untaggedTrace(std::size_t n)
+{
+    auto t = std::make_shared<TraceData>();
+    t->sourceName = "untagged";
+    for (std::size_t i = 0; i < n; ++i) {
+        TraceRecord r;
+        r.op = i % 3 == 1 ? Op::Store : Op::Load;
+        r.addr = 0x200000 + i * 72;
         t->records.push_back(r);
     }
     sealTrace(*t);
@@ -229,6 +479,30 @@ TEST(TraceParser, RejectsMalformedInputWithLineDiagnostics)
     const std::string long_line =
         "ld 0x1000 " + std::string(2 * traceMaxLineBytes, ' ') + "\n";
     EXPECT_FALSE(parseError(long_line).empty());
+}
+
+TEST(TraceParser, ConformanceTable)
+{
+    for (const ParseCase &c : parseConformanceTable()) {
+        SCOPED_TRACE(c.what);
+        TraceData t;
+        std::istringstream in(c.text);
+        std::string err;
+        const bool ok = parseTextTrace(in, "bad.trace", t, err);
+        if (!c.err.empty()) {
+            EXPECT_FALSE(ok);
+            EXPECT_EQ(err, c.err);
+            continue;
+        }
+        ASSERT_TRUE(ok) << err;
+        ASSERT_EQ(t.records.size(), c.records.size());
+        EXPECT_EQ(t.ctaTagged, c.records[0].cta >= 0);
+        for (std::size_t i = 0; i < c.records.size(); ++i) {
+            EXPECT_EQ(t.records[i].op, c.records[i].op) << i;
+            EXPECT_EQ(t.records[i].addr, c.records[i].addr) << i;
+            EXPECT_EQ(t.records[i].cta, c.records[i].cta) << i;
+        }
+    }
 }
 
 TEST(TraceParser, BinaryEnvelopeRejectsTruncationAndCorruption)
@@ -387,6 +661,52 @@ TEST(TraceReplay, TaggedTraceRunsOneCtaPerTag)
     Gpu gpu(GpuConfig::baseline(), spec);
     SimResult r = gpu.run();
     EXPECT_EQ(r.warpInstsIssued, 4u);
+}
+
+TEST(TraceReplay, TaggedCursorMatchesLinearScan)
+{
+    // Tags arrive interleaved and CTAs 1, 4 and 5 own no records.
+    WorkloadSpec spec =
+        makeTraceWorkload(interleavedTaggedTrace(301, {3, 0, 6, 2, 0}));
+    EXPECT_EQ(spec.profile.numCtas, 7);
+    expectReplayMatchesReference(spec);
+    // A warp count that divides no CTA's record count evenly.
+    spec.profile.warpsPerCta = 3;
+    expectReplayMatchesReference(spec);
+    // One CTA, one warp: the whole trace in file order.
+    spec = makeTraceWorkload(interleavedTaggedTrace(40, {0}));
+    spec.profile.warpsPerCta = 1;
+    expectReplayMatchesReference(spec);
+}
+
+TEST(TraceReplay, UntaggedCursorMatchesLinearScan)
+{
+    // 37 records over the default 4 x 4 warps: not a multiple.
+    WorkloadSpec spec = makeTraceWorkload(untaggedTrace(37));
+    EXPECT_EQ(spec.profile.numCtas * spec.profile.warpsPerCta, 16);
+    expectReplayMatchesReference(spec);
+    // Fewer records than warps: most warps are empty.
+    expectReplayMatchesReference(makeTraceWorkload(untaggedTrace(5)));
+    // A launch shape other than the default.
+    spec.profile.numCtas = 3;
+    spec.profile.warpsPerCta = 5;
+    expectReplayMatchesReference(spec);
+}
+
+TEST(TraceReplay, ParsedAndPackedGoldenTracesMatchLinearScan)
+{
+    for (const char *file : {"replay.trace", "replay_tagged.trace"}) {
+        SCOPED_TRACE(file);
+        std::string err;
+        auto text = loadTraceFile(
+            std::string(BWSIM_GOLDEN_DIR) + "/" + file, err);
+        ASSERT_NE(text, nullptr) << err;
+        expectReplayMatchesReference(makeTraceWorkload(text));
+        auto packed = std::make_shared<TraceData>();
+        ASSERT_TRUE(unpackTrace(packTrace(*text), file, *packed, err))
+            << err;
+        expectReplayMatchesReference(makeTraceWorkload(packed));
+    }
 }
 
 TEST(Generators, ParseRejectsUnknownNamesQuietly)
