@@ -111,38 +111,59 @@ smoke() {
     }
 
     echo "smoke: trace workloads (pack, replay parity, queue backend)"
-    # Pack the checked-in golden trace; text and binary must agree on
-    # the content hash (their shared cache identity).
+    # Both golden traces, untagged and CTA-tagged: text and packed
+    # binary must agree on the content hash (their shared cache
+    # identity), and replay is bit-identical across scheduler modes
+    # and the --jobs fork-merge path, exactly like synthetic workloads.
+    for trace_name in replay replay_tagged; do
+        trace_src=tests/golden/$trace_name.trace
+        trace_bin="$smoke_tmp/$trace_name.bwtr"
+        ./build/bwsim trace pack "$trace_src" "$trace_bin" \
+            > "$smoke_tmp/pack.out"
+        ./build/bwsim trace info "$trace_src" \
+            | grep 'content-hash' > "$smoke_tmp/hash-text.out"
+        ./build/bwsim trace info "$trace_bin" \
+            | grep 'content-hash' > "$smoke_tmp/hash-bin.out"
+        cmp "$smoke_tmp/hash-text.out" "$smoke_tmp/hash-bin.out" || {
+            echo "smoke FAIL: trace pack changed the content hash of" \
+                 "$trace_src" >&2
+            exit 1
+        }
+        trace_args="fig4 --trace=$trace_bin --threads=2"
+        trace_lock="$smoke_tmp/trace-lock-$trace_name.out"
+        ./build/bwsim $trace_args --scheduler=lockstep > "$trace_lock"
+        ./build/bwsim $trace_args --scheduler=skip \
+            > "$smoke_tmp/trace-skip.out"
+        cmp "$trace_lock" "$smoke_tmp/trace-skip.out" || {
+            echo "smoke FAIL: $trace_src replay differs across" \
+                 "schedulers" >&2
+            exit 1
+        }
+        ./build/bwsim $trace_args --jobs=2 \
+            --cache-dir="$smoke_tmp/trace-jobs-$trace_name" \
+            > "$smoke_tmp/trace-jobs.out"
+        cmp "$trace_lock" "$smoke_tmp/trace-jobs.out" || {
+            echo "smoke FAIL: --jobs=2 $trace_src replay differs from" \
+                 "the single-process run" >&2
+            exit 1
+        }
+    done
+    # An out-of-range CTA tag fails cleanly instead of replaying an
+    # overflowed launch shape as an all-zero row.
+    printf 'ld 0x1000 0\nst 0x2000 2147483647\n' > "$smoke_tmp/bigtag.trace"
+    if ./build/bwsim fig4 --trace="$smoke_tmp/bigtag.trace" \
+        > "$smoke_tmp/bigtag.out" 2> "$smoke_tmp/bigtag.err"; then
+        echo "smoke FAIL: a CTA tag of 2^31-1 was accepted" >&2
+        exit 1
+    fi
+    grep -q 'CTA tag 2147483647 out of range' "$smoke_tmp/bigtag.err" || {
+        echo "smoke FAIL: out-of-range CTA tag gave no diagnostic:" >&2
+        cat "$smoke_tmp/bigtag.err" >&2
+        exit 1
+    }
+    # The queue and warm-cache checks below replay the untagged trace.
     trace_src=tests/golden/replay.trace
-    ./build/bwsim trace pack "$trace_src" "$smoke_tmp/replay.bwtr" \
-        > "$smoke_tmp/pack.out"
-    ./build/bwsim trace info "$trace_src" \
-        | grep 'content-hash' > "$smoke_tmp/hash-text.out"
-    ./build/bwsim trace info "$smoke_tmp/replay.bwtr" \
-        | grep 'content-hash' > "$smoke_tmp/hash-bin.out"
-    cmp "$smoke_tmp/hash-text.out" "$smoke_tmp/hash-bin.out" || {
-        echo "smoke FAIL: trace pack changed the content hash" >&2
-        exit 1
-    }
-    # Replay is bit-identical across scheduler modes and the --jobs
-    # fork-merge path, exactly like synthetic workloads.
     trace_args="fig4 --trace=$smoke_tmp/replay.bwtr --threads=2"
-    ./build/bwsim $trace_args --scheduler=lockstep \
-        > "$smoke_tmp/trace-lock.out"
-    ./build/bwsim $trace_args --scheduler=skip \
-        > "$smoke_tmp/trace-skip.out"
-    cmp "$smoke_tmp/trace-lock.out" "$smoke_tmp/trace-skip.out" || {
-        echo "smoke FAIL: trace replay differs across schedulers" >&2
-        exit 1
-    }
-    ./build/bwsim $trace_args --jobs=2 \
-        --cache-dir="$smoke_tmp/trace-jobs" \
-        > "$smoke_tmp/trace-jobs.out"
-    cmp "$smoke_tmp/trace-lock.out" "$smoke_tmp/trace-jobs.out" || {
-        echo "smoke FAIL: --jobs=2 trace replay differs from the" \
-             "single-process run" >&2
-        exit 1
-    }
     # A queue job embeds the trace records, so one worker with no
     # access to the original file replays it bit-identically.
     tspool="$smoke_tmp/trace-spool"
@@ -164,7 +185,7 @@ smoke() {
         cat "$smoke_tmp/trace-queue.err" >&2
         exit 1
     }
-    cmp "$smoke_tmp/trace-lock.out" "$smoke_tmp/trace-queue.out" || {
+    cmp "$smoke_tmp/trace-lock-replay.out" "$smoke_tmp/trace-queue.out" || {
         echo "smoke FAIL: --backend=queue trace replay differs from" \
              "the single-process run" >&2
         exit 1

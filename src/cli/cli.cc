@@ -179,7 +179,7 @@ runFig11(const exp::ExperimentOptions &opts, std::ostream &os)
     emit(opts, os, t.table);
     note(opts, os,
          "\n(simulated stand-in for the paper's real-GPU "
-         "experiment; see DESIGN.md)\n");
+         "experiment: only the modelled core clock changes)\n");
 }
 
 void

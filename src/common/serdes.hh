@@ -19,16 +19,23 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 
 namespace bwsim
 {
 
-/** FNV-1a 64-bit hash; content checksums and shard assignment. */
+/** FNV-1a 64-bit offset basis: the hash of zero bytes. */
+constexpr std::uint64_t fnv1a64Basis = 0xcbf29ce484222325ull;
+
+/**
+ * FNV-1a 64-bit hash; content checksums and shard assignment. Pass
+ * the previous result as @p h to continue a hash over a further
+ * chunk: hashing in pieces equals hashing the concatenation.
+ */
 inline std::uint64_t
-fnv1a64(const void *data, std::size_t len)
+fnv1a64(const void *data, std::size_t len, std::uint64_t h = fnv1a64Basis)
 {
     const auto *p = static_cast<const unsigned char *>(data);
-    std::uint64_t h = 0xcbf29ce484222325ull;
     for (std::size_t i = 0; i < len; ++i) {
         h ^= p[i];
         h *= 0x100000001b3ull;
@@ -103,6 +110,8 @@ class ByteReader
     explicit ByteReader(const std::string &s) : ByteReader(s.data(), s.size())
     {
     }
+    /** The reader borrows its buffer, so a temporary would dangle. */
+    explicit ByteReader(std::string &&) = delete;
 
     std::uint8_t
     u8()
@@ -147,13 +156,17 @@ class ByteReader
         return v;
     }
 
-    std::string
-    str()
+    std::string str() { return std::string(blob()); }
+
+    /** Like str(), but borrows the bytes from the buffer instead of
+     *  copying them; the view lives as long as the buffer does. */
+    std::string_view
+    blob()
     {
         std::uint32_t len = u32();
         if (!take(len))
-            return std::string();
-        return std::string(p + pos - len, len);
+            return std::string_view();
+        return std::string_view(p + pos - len, len);
     }
 
     /** False once any read ran past the end of the buffer. */
@@ -198,22 +211,36 @@ frameBlob(std::uint32_t magic, std::uint32_t version,
 }
 
 /**
- * Inverse of frameBlob(). True and fill @p payload_out only when the
- * magic and version match, the checksum validates, and no bytes
- * trail the envelope; any truncation or bit flip is a clean false.
+ * Inverse of frameBlob(). True and point @p payload_out into @p data
+ * (no copy) only when the magic and version match, the checksum
+ * validates, and no bytes trail the envelope; any truncation or bit
+ * flip is a clean false.
  */
+inline bool
+unframeBlob(std::uint32_t magic, std::uint32_t version,
+            std::string_view data, std::string_view &payload_out)
+{
+    ByteReader r(data.data(), data.size());
+    if (r.u32() != magic || r.u32() != version)
+        return false;
+    const std::uint64_t checksum = r.u64();
+    const std::string_view payload = r.blob();
+    if (!r.ok() || r.remaining() != 0 ||
+        fnv1a64(payload.data(), payload.size()) != checksum)
+        return false;
+    payload_out = payload;
+    return true;
+}
+
+/** unframeBlob() into an owned copy of the payload. */
 inline bool
 unframeBlob(std::uint32_t magic, std::uint32_t version,
             const std::string &data, std::string &payload_out)
 {
-    ByteReader r(data);
-    if (r.u32() != magic || r.u32() != version)
+    std::string_view payload;
+    if (!unframeBlob(magic, version, data, payload))
         return false;
-    const std::uint64_t checksum = r.u64();
-    std::string payload = r.str();
-    if (!r.ok() || r.remaining() != 0 || fnv1a64(payload) != checksum)
-        return false;
-    payload_out = std::move(payload);
+    payload_out.assign(payload);
     return true;
 }
 

@@ -20,7 +20,7 @@
  *
  * Each benchmark's parameters were chosen to reproduce its published
  * first-order behaviour (which memory level limits it, its P-inf /
- * P-DRAM class); EXPERIMENTS.md records paper-vs-measured.
+ * P-DRAM class); tests/test_paper_shapes.cc pins those classes.
  */
 
 #ifndef BWSIM_WORKLOADS_PROFILE_HH

@@ -1,7 +1,5 @@
 #include "workloads/workload_spec.hh"
 
-#include <algorithm>
-
 #include "common/key_builder.hh"
 #include "common/log.hh"
 #include "workloads/generators.hh"
@@ -10,25 +8,6 @@
 
 namespace bwsim
 {
-
-std::string
-canonicalTraceBytes(const TraceData &t)
-{
-    ByteWriter w;
-    for (const auto &r : t.records) {
-        w.u8(r.op == Op::Store ? 1 : 0);
-        w.u64(r.addr);
-        // -1 (untagged) encodes as 0 so tagged/untagged never collide.
-        w.u32(static_cast<std::uint32_t>(r.cta + 1));
-    }
-    return std::move(w).take();
-}
-
-void
-sealTrace(TraceData &t)
-{
-    t.contentHash = fnv1a64(canonicalTraceBytes(t));
-}
 
 std::string
 WorkloadSpec::cacheKey() const
@@ -75,10 +54,9 @@ makeTraceWorkload(std::shared_ptr<const TraceData> trace)
     s.profile.warpsPerCta = 4;
     s.profile.maxCtasPerCore = 4;
     if (trace->ctaTagged) {
-        std::int32_t max_tag = 0;
-        for (const auto &r : trace->records)
-            max_tag = std::max(max_tag, r.cta);
-        s.profile.numCtas = max_tag + 1;
+        bwsim_assert(trace->ctaCount() > 0,
+                     "makeTraceWorkload: unsealed tagged trace");
+        s.profile.numCtas = static_cast<int>(trace->ctaCount());
     } else {
         s.profile.numCtas = 4;
     }
@@ -226,7 +204,7 @@ serializeWorkload(ByteWriter &w, const WorkloadSpec &spec)
         w.u8(t.ctaTagged ? 1 : 0);
         w.u64(t.contentHash);
         w.u64(t.records.size());
-        w.str(canonicalTraceBytes(t));
+        writeCanonicalTrace(w, t);
         break;
     }
     case WorkloadKind::Generator:
@@ -257,22 +235,9 @@ deserializeWorkload(ByteReader &r, WorkloadSpec &out)
         t->ctaTagged = r.u8() != 0;
         const std::uint64_t stored_hash = r.u64();
         const std::uint64_t count = r.u64();
-        const std::string canon = r.str();
-        // Canonical records are fixed-width: u8 op + u64 addr + u32 cta.
-        constexpr std::size_t rec_bytes = 13;
-        if (!r.ok() || canon.size() != count * rec_bytes)
+        const std::string_view canon = r.blob();
+        if (!r.ok() || !decodeCanonicalTrace(canon, count, *t, nullptr))
             return false;
-        t->records.resize(count);
-        ByteReader rr(canon);
-        for (std::uint64_t i = 0; i < count; ++i) {
-            TraceRecord &rec = t->records[i];
-            const std::uint8_t op = rr.u8();
-            if (op > 1)
-                return false;
-            rec.op = op ? Op::Store : Op::Load;
-            rec.addr = rr.u64();
-            rec.cta = static_cast<std::int32_t>(rr.u32()) - 1;
-        }
         sealTrace(*t);
         // The frame checksum guards the bytes; this guards the
         // semantics -- a job claiming one trace must contain it.

@@ -52,34 +52,42 @@ enum class WorkloadKind : std::uint8_t
     Generator = 2,
 };
 
-/** One memory access of a file-backed trace. */
+/** One memory access of a file-backed trace (16 bytes). */
 struct TraceRecord
 {
-    Op op = Op::Load; ///< Load or Store only
     Addr addr = 0;
     /** CTA tag from the optional third column; -1 = untagged. */
     std::int32_t cta = -1;
+    Op op = Op::Load; ///< Load or Store only
 };
 
-/** An in-memory trace plus its canonical content hash. */
+/**
+ * An in-memory trace plus its canonical content hash and replay
+ * index. sealTrace() (workloads/trace_source.hh) fills both from the
+ * records; every ingest path calls it, and a trace is immutable once
+ * shared with a WorkloadSpec.
+ */
 struct TraceData
 {
     std::string sourceName; ///< display only; excluded from the hash
     bool ctaTagged = false;
     std::vector<TraceRecord> records;
-    /** fnv1a64 over canonicalTraceBytes(); the cache identity. */
+    /** fnv1a64 over the canonical record bytes; the cache identity. */
     std::uint64_t contentHash = 0;
+    /**
+     * Replay index of a tagged trace (empty when untagged): record
+     * indices stably sorted by CTA tag, so CTA c owns
+     * ctaOrder[ctaBegin[c] .. ctaBegin[c + 1]) in file order.
+     */
+    std::vector<std::uint32_t> ctaOrder;
+    std::vector<std::uint32_t> ctaBegin; ///< largest tag + 2 offsets
+
+    /** CTAs a tagged trace launches: its largest tag + 1. */
+    std::size_t ctaCount() const
+    {
+        return ctaBegin.empty() ? 0 : ctaBegin.size() - 1;
+    }
 };
-
-/**
- * Canonical record encoding hashed for content identity. The text
- * and packed-binary encodings of the same accesses produce identical
- * canonical bytes, so `bwsim trace pack` never invalidates a cache.
- */
-std::string canonicalTraceBytes(const TraceData &t);
-
-/** Recompute and store @p t.contentHash from its records. */
-void sealTrace(TraceData &t);
 
 enum class GenKind : std::uint8_t
 {
@@ -178,8 +186,10 @@ void serializeWorkload(ByteWriter &w, const WorkloadSpec &spec);
 
 /**
  * Inverse of serializeWorkload(). False on truncated input, an
- * unknown kind tag, or a trace whose recomputed content hash does not
- * match the stored one (corruption the frame checksum cannot see).
+ * unknown kind tag, a trace record that fails decodeCanonicalTrace()
+ * (bad op, or a CTA tag out of range), or a trace whose recomputed
+ * content hash does not match the stored one (corruption the frame
+ * checksum cannot see).
  */
 bool deserializeWorkload(ByteReader &r, WorkloadSpec &out);
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <vector>
 
@@ -411,6 +412,25 @@ TEST(Cli, CacheStatsOnAnEmptyDirReportsZeroEntries)
                      out, err),
               0);
     EXPECT_NE(out.find("0 entries"), std::string::npos) << out;
+}
+
+TEST(Cli, TraceInfoRejectsAnOutOfRangeCtaTag)
+{
+    // Tag 2^31 - 1 once overflowed the launch shape to -2^31 CTAs
+    // and replayed as an all-zero run; it must fail up front.
+    const std::string path = ::testing::TempDir() + "bwsim-cli-bigtag.trace";
+    std::ofstream(path) << "ld 0x1000 0\nst 0x2000 2147483647\n";
+    std::string out, err;
+    EXPECT_EQ(runCli({"trace", "info", path.c_str()}, out, err), 1);
+    EXPECT_EQ(err, "bwsim: bwsim-cli-bigtag.trace:2: CTA tag 2147483647 "
+                   "out of range (a trace launches at most 65535 CTAs)\n");
+    EXPECT_TRUE(out.empty()) << out;
+
+    std::ofstream(path) << "ld 0x1000 0\nst 0x2000 65534\n";
+    ASSERT_EQ(runCli({"trace", "info", path.c_str()}, out, err), 0) << err;
+    EXPECT_NE(out.find("launch-shape: 65535 ctas x 4 warps"),
+              std::string::npos)
+        << out;
 }
 
 TEST(Cli, UsageMentionsTheQueueFlags)

@@ -16,6 +16,7 @@
 #include "gpu/gpu_config.hh"
 #include "gpu/sim_result.hh"
 #include "workloads/profile.hh"
+#include "workloads/trace_source.hh"
 #include "workloads/workload_spec.hh"
 
 using namespace bwsim;
@@ -457,7 +458,8 @@ TEST(FuzzSerdes, WorkloadTruncationsAllRejected)
         const WorkloadSpec spec = randomWorkload(rng);
         const std::string bytes = workloadBytes(spec);
         for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-            ByteReader r(bytes.substr(0, cut));
+            const std::string prefix = bytes.substr(0, cut);
+            ByteReader r(prefix);
             WorkloadSpec back;
             EXPECT_FALSE(deserializeWorkload(r, back))
                 << "kind " << static_cast<int>(spec.kind) << " cut "

@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
 #include <memory>
 #include <ostream>
 #include <sstream>
@@ -178,8 +179,14 @@ parseConformanceTable()
          "bad.trace:1: trailing garbage 'x'"},
         {"hex and octal CTA tags", "ld 0x10 0x2\nld 0x20 010\n",
          {rec(Op::Load, 0x10, 2), rec(Op::Load, 0x20, 8)}, ""},
-        {"largest int32 tag", "ld 0x10 0x7fffffff\n",
-         {rec(Op::Load, 0x10, 0x7fffffff)}, ""},
+        {"largest tag", "ld 0x10 65534\n", {rec(Op::Load, 0x10, 65534)},
+         ""},
+        {"first tag out of range", "ld 0x10 0xffff\n", {},
+         "bad.trace:1: CTA tag 65535 out of range (a trace launches at "
+         "most 65535 CTAs)"},
+        {"largest int32 tag", "ld 0x10 0x7fffffff\n", {},
+         "bad.trace:1: CTA tag 2147483647 out of range (a trace "
+         "launches at most 65535 CTAs)"},
         {"tag past int32", "ld 0x10 0x80000000\n", {},
          "bad.trace:1: malformed CTA tag '0x80000000'"},
         {"negative tag", "ld 0x10 -1\n", {},
@@ -529,6 +536,150 @@ TEST(TraceParser, BinaryEnvelopeRejectsTruncationAndCorruption)
 }
 
 // ---------------------------------------------------------------------
+// 2b. Trace ingest: content hash, replay index and the CTA-tag bound.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+std::string
+goldenTrace(const char *file)
+{
+    return std::string(BWSIM_GOLDEN_DIR) + "/" + file;
+}
+
+/** A tagged trace whose tags are not range-checked: sealTrace()
+ *  refuses it, but the encoders write whatever they are given. */
+std::shared_ptr<TraceData>
+unsealedTaggedTrace(std::int32_t tag)
+{
+    auto t = std::make_shared<TraceData>();
+    t->sourceName = "big";
+    t->ctaTagged = true;
+    t->records = {rec(Op::Load, 0x1000, 0), rec(Op::Store, 0x2000, tag)};
+    return t;
+}
+
+std::string
+writeTempFile(const std::string &name, const std::string &bytes)
+{
+    const std::string path = ::testing::TempDir() + name;
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f << bytes;
+    return path;
+}
+
+} // namespace
+
+TEST(TraceIngest, ContentHashesOfTheGoldenTracesArePinned)
+{
+    // Cache identity: a change here orphans every cached trace result.
+    std::string err;
+    auto untagged = loadTraceFile(goldenTrace("replay.trace"), err);
+    ASSERT_NE(untagged, nullptr) << err;
+    EXPECT_EQ(untagged->contentHash, 0xf7c1b8e1db7e14f9ull);
+    auto tagged = loadTraceFile(goldenTrace("replay_tagged.trace"), err);
+    ASSERT_NE(tagged, nullptr) << err;
+    EXPECT_EQ(tagged->contentHash, 0xa9ef0554c8d9ec95ull);
+}
+
+TEST(TraceIngest, HashCoversExactlyTheCanonicalRecordBytes)
+{
+    for (const auto &t : {busyTrace(), interleavedTaggedTrace(77, {4, 1})}) {
+        ByteWriter w;
+        writeCanonicalTrace(w, *t);
+        const std::string &blob = w.bytes();
+        ASSERT_EQ(blob.size(), 4 + 13 * t->records.size());
+        EXPECT_EQ(t->contentHash,
+                  fnv1a64(blob.data() + 4, blob.size() - 4));
+    }
+}
+
+TEST(TraceIngest, ReplayIndexGroupsRecordsByCtaInFileOrder)
+{
+    EXPECT_EQ(sizeof(TraceRecord), 16u);
+    auto t = parseOrDie("ld 0x0 3\nld 0x1 0\nst 0x2 3\nld 0x3 0\n"
+                        "ld 0x4 1\nst 0x5 3\n");
+    EXPECT_EQ(t->ctaCount(), 4u);
+    EXPECT_EQ(t->ctaBegin, (std::vector<std::uint32_t>{0, 2, 3, 3, 6}));
+    EXPECT_EQ(t->ctaOrder,
+              (std::vector<std::uint32_t>{1, 3, 4, 0, 2, 5}));
+    EXPECT_EQ(makeTraceWorkload(t).profile.numCtas, 4);
+
+    auto u = parseOrDie("ld 0x0\nst 0x1\n");
+    EXPECT_EQ(u->ctaCount(), 0u);
+    EXPECT_TRUE(u->ctaOrder.empty());
+    EXPECT_EQ(makeTraceWorkload(u).profile.numCtas, 4);
+}
+
+TEST(TraceIngest, TextAndPackedFilesLoadIdentically)
+{
+    for (const char *file : {"replay.trace", "replay_tagged.trace"}) {
+        SCOPED_TRACE(file);
+        std::string err;
+        auto text = loadTraceFile(goldenTrace(file), err);
+        ASSERT_NE(text, nullptr) << err;
+        const std::string path =
+            writeTempFile(std::string(file) + ".bwtr", packTrace(*text));
+        auto packed = loadTraceFile(path, err);
+        ASSERT_NE(packed, nullptr) << err;
+        EXPECT_EQ(packed->sourceName, std::string(file) + ".bwtr");
+        EXPECT_EQ(packed->ctaTagged, text->ctaTagged);
+        ASSERT_EQ(packed->records.size(), text->records.size());
+        for (std::size_t i = 0; i < text->records.size(); ++i) {
+            EXPECT_EQ(packed->records[i].op, text->records[i].op);
+            EXPECT_EQ(packed->records[i].addr, text->records[i].addr);
+            EXPECT_EQ(packed->records[i].cta, text->records[i].cta);
+        }
+        EXPECT_EQ(packed->contentHash, text->contentHash);
+        EXPECT_EQ(packed->ctaOrder, text->ctaOrder);
+        EXPECT_EQ(packed->ctaBegin, text->ctaBegin);
+    }
+}
+
+TEST(TraceIngest, PackedTraceWithOutOfRangeTagIsRejected)
+{
+    const std::string want =
+        "big.bwtr: CTA tag 65535 out of range (a trace launches at "
+        "most 65535 CTAs)";
+    const std::string packed = packTrace(*unsealedTaggedTrace(65535));
+    TraceData back;
+    std::string err;
+    EXPECT_FALSE(unpackTrace(packed, "big.bwtr", back, err));
+    EXPECT_EQ(err, want);
+    // The same through the file loader.
+    EXPECT_EQ(loadTraceFile(writeTempFile("big.bwtr", packed), err),
+              nullptr);
+    EXPECT_EQ(err, want);
+    // The largest tag in range still loads.
+    auto in_range = unsealedTaggedTrace(65534);
+    sealTrace(*in_range);
+    ASSERT_TRUE(unpackTrace(packTrace(*in_range), "ok.bwtr", back, err))
+        << err;
+    EXPECT_EQ(back.ctaCount(), 65535u);
+}
+
+TEST(TraceIngest, WorkloadEnvelopeWithOutOfRangeTagIsRejected)
+{
+    for (std::int32_t tag : {65535, 0x7fffffff}) {
+        WorkloadSpec spec;
+        spec.kind = WorkloadKind::Trace;
+        spec.trace = unsealedTaggedTrace(tag);
+        ByteWriter w;
+        serializeWorkload(w, spec);
+        ByteReader r(w.bytes());
+        WorkloadSpec back;
+        EXPECT_FALSE(deserializeWorkload(r, back)) << tag;
+
+        RunSpec job{spec, GpuConfig::baseline()};
+        RunSpec decoded;
+        std::string why;
+        EXPECT_FALSE(decodeJob(encodeJob(job), decoded, &why)) << tag;
+        EXPECT_EQ(why, "payload does not decode");
+    }
+}
+
+// ---------------------------------------------------------------------
 // 3. Workload serdes and the work-queue envelope.
 // ---------------------------------------------------------------------
 
@@ -582,7 +733,8 @@ TEST(WorkloadSerdes, RejectsTruncationAndKindCorruption)
     const std::string bytes = std::move(w).take();
 
     for (std::size_t cut = 0; cut < bytes.size(); cut += 7) {
-        ByteReader r(bytes.substr(0, cut));
+        const std::string prefix = bytes.substr(0, cut);
+        ByteReader r(prefix);
         WorkloadSpec junk;
         EXPECT_FALSE(deserializeWorkload(r, junk))
             << "accepted a truncation at " << cut;
