@@ -1,10 +1,10 @@
 #!/usr/bin/env sh
 # Tier-1 verify: configure, build, run the full ctest suite, then the
-# persistent-cache / sharded-sweep smoke checks.
+# persistent-cache / --jobs / work-queue smoke checks.
 # Usage: scripts/ci.sh [quick|test|smoke|asan]
 #   quick  -- build + the fast unit-label subset (pre-commit loop)
 #   test   -- build + the full ctest suite
-#   smoke  -- cache/shard end-to-end checks against an existing build
+#   smoke  -- cache/backend end-to-end checks against an existing build
 #   asan   -- ASan+UBSan instrumented build (build-asan/) + the
 #             quick-label suites under both sanitizers
 #   (none) -- test + smoke
@@ -37,11 +37,15 @@ asan() {
 # End-to-end checks of the execution backends:
 #  1. a warm --cache-dir invocation must simulate nothing (the run
 #     counter printed by --exec-stats must say sims=0);
-#  2. a sharded --jobs sweep must print tables byte-identical to the
-#     single-process run;
-#  3. a --backend=queue sweep drained by two bwsim --worker processes
+#  2. a --jobs sweep (local forked queue workers) must print tables
+#     byte-identical to the single-process run;
+#  3. a --jobs run must fail cleanly -- non-zero exit, no worker left
+#     running, no scratch spool left in TMPDIR -- when its --trace is
+#     unreadable or a worker is killed, and leave no spool behind when
+#     it succeeds;
+#  4. a --backend=queue sweep drained by two bwsim --worker processes
 #     must also print byte-identical tables;
-#  4. --cache-stats must report the warm entries and --cache-max-mb=0
+#  5. --cache-stats must report the warm entries and --cache-max-mb=0
 #     must evict them all.
 smoke() {
     smoke_tmp=$(mktemp -d)
@@ -63,7 +67,7 @@ smoke() {
         exit 1
     }
 
-    echo "smoke: --jobs sharded sweep parity"
+    echo "smoke: --jobs local-worker sweep parity"
     ./build/bwsim $bwsim_args > "$smoke_tmp/single.out"
     ./build/bwsim $bwsim_args --jobs=2 --cache-dir="$smoke_tmp/jobs" \
         > "$smoke_tmp/jobs.out"
@@ -72,6 +76,75 @@ smoke() {
              "single-process run" >&2
         exit 1
     }
+
+    echo "smoke: --jobs failure and cleanup"
+    # Workers are forked, not exec'd, so they carry the parent's
+    # command line: a unique trace path finds any that outlived it.
+    jobs_tmp="$smoke_tmp/jobs-tmpdir"
+    mkdir "$jobs_tmp"
+    missing="$smoke_tmp/no-such-trace-$$.trace"
+    if TMPDIR="$jobs_tmp" ./build/bwsim fig4 --trace="$missing" --jobs=2 \
+        > /dev/null 2> "$smoke_tmp/jobs-fatal.err"; then
+        echo "smoke FAIL: --jobs=2 with an unreadable --trace exited 0" >&2
+        exit 1
+    fi
+    sleep 1
+    if pgrep -f "$missing" > /dev/null; then
+        echo "smoke FAIL: --jobs workers outlived their failed parent:" >&2
+        pgrep -af "$missing" >&2
+        exit 1
+    fi
+    # A worker killed mid-simulation fails the run at once instead of
+    # leaving the parent waiting out the job timeout. Unshrunk fig10
+    # runs for minutes even on two workers; the kill lands a second
+    # in, and the parent has ten seconds to notice.
+    TMPDIR="$jobs_tmp" ./build/bwsim fig10 --jobs=2 \
+        > /dev/null 2> "$smoke_tmp/jobs-kill.err" &
+    jobs_parent=$!
+    tries=0
+    while [ "$(pgrep -P "$jobs_parent" | wc -l)" -lt 2 ] &&
+        [ "$tries" -lt 100 ]; do
+        sleep 0.1
+        tries=$((tries + 1))
+    done
+    sleep 1
+    jobs_workers=$(pgrep -P "$jobs_parent" || true)
+    pkill -KILL -n -P "$jobs_parent" || {
+        echo "smoke FAIL: --jobs=2 started no worker to kill" >&2
+        exit 1
+    }
+    tries=0
+    while kill -0 "$jobs_parent" 2>/dev/null && [ "$tries" -lt 100 ]; do
+        sleep 0.1
+        tries=$((tries + 1))
+    done
+    if kill -KILL "$jobs_parent" 2>/dev/null; then
+        echo "smoke FAIL: --jobs parent still running 10 s after a" \
+             "worker was killed" >&2
+        exit 1
+    fi
+    jobs_rc=0
+    wait "$jobs_parent" || jobs_rc=$?
+    if [ "$jobs_rc" -eq 0 ] ||
+        ! grep -q 'a --jobs worker failed' "$smoke_tmp/jobs-kill.err"; then
+        echo "smoke FAIL: a killed --jobs worker did not fail the run" \
+             "(exit $jobs_rc):" >&2
+        cat "$smoke_tmp/jobs-kill.err" >&2
+        exit 1
+    fi
+    sleep 1
+    for w in $jobs_workers; do
+        if kill -0 "$w" 2>/dev/null; then
+            echo "smoke FAIL: --jobs worker $w outlived its parent" >&2
+            exit 1
+        fi
+    done
+    TMPDIR="$jobs_tmp" ./build/bwsim $bwsim_args --jobs=2 > /dev/null
+    if ls -A "$jobs_tmp" | grep -q '^bwsim-spool-'; then
+        echo "smoke FAIL: --jobs left a scratch spool in TMPDIR:" >&2
+        ls -A "$jobs_tmp" >&2
+        exit 1
+    fi
 
     echo "smoke: --backend=queue parity with 2 workers"
     spool="$smoke_tmp/spool"
@@ -114,7 +187,8 @@ smoke() {
     # Both golden traces, untagged and CTA-tagged: text and packed
     # binary must agree on the content hash (their shared cache
     # identity), and replay is bit-identical across scheduler modes
-    # and the --jobs fork-merge path, exactly like synthetic workloads.
+    # and the --jobs local-worker path, exactly like synthetic
+    # workloads.
     for trace_name in replay replay_tagged; do
         trace_src=tests/golden/$trace_name.trace
         trace_bin="$smoke_tmp/$trace_name.bwtr"

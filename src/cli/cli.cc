@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
-#include <iostream>
-#include <sstream>
 #include <thread>
 
 #include "common/log.hh"
@@ -21,10 +21,13 @@
 #include "workloads/trace_source.hh"
 
 #ifdef __unix__
-#include <fcntl.h>
+#include <csignal>
 #include <sys/utsname.h>
 #include <sys/wait.h>
 #include <unistd.h>
+#endif
+#ifdef __linux__
+#include <sys/prctl.h>
 #endif
 
 namespace bwsim::cli
@@ -34,7 +37,7 @@ namespace
 {
 
 /**
- * Format-aware emitters: in text mode every byte matches the legacy
+ * Format-aware emitters: text mode prints the human-readable
  * reports; in csv/tsv mode tables become machine-readable grids,
  * section headings become '#' comment lines, and prose notes are
  * dropped so the output can be diffed and plotted directly. In json
@@ -363,6 +366,7 @@ printUsage(std::ostream &os)
           "                    lines or `bwsim trace pack` binary) as\n"
           "                    the workload; cached by content hash\n"
           "  --threads=N       host threads for the parallel runner\n"
+          "                    (0 = hardware concurrency, the default)\n"
           "  --shrink=K        divide workload size by K (quick runs)\n"
           "  --format=F        table output: text (default), csv, tsv,\n"
           "                    json (one JSON object per table; JSON\n"
@@ -379,16 +383,12 @@ printUsage(std::ostream &os)
           "  --cache-dir=DIR   persistent SimCache tier: warm\n"
           "                    (profile, config) pairs load from DIR\n"
           "                    instead of re-simulating\n"
-          "  --jobs=N          fork N shard workers over a shared\n"
-          "                    cache dir, then merge and print\n"
-          "  --shards=N        sharded-sweep worker mode: simulate\n"
-          "  --shard-id=I      only this worker's share of the keys\n"
-          "                    (requires --cache-dir; no tables are\n"
-          "                    printed, run the merge pass for those)\n"
+          "  --jobs=N          run N simulations at once in N forked\n"
+          "                    work-queue workers over a scratch spool\n"
+          "                    (--threads does not apply to them)\n"
           "  --backend=B       how cache misses execute: threads\n"
-          "                    (in-process pool, default), jobs\n"
-          "                    (forked shard workers, needs --jobs),\n"
-          "                    queue (spool-dir work queue drained by\n"
+          "                    (in-process pool, default) or queue\n"
+          "                    (spool-dir work queue drained by\n"
           "                    bwsim --worker processes on any hosts\n"
           "                    sharing the filesystem)\n"
           "  --spool-dir=DIR   work-queue spool directory\n"
@@ -442,9 +442,9 @@ printUsage(std::ostream &os)
 void
 printList(std::ostream &os)
 {
-    stats::TextTable t({"experiment", "replaces", "description"});
+    stats::TextTable t({"experiment", "description"});
     for (const auto &e : experimentRegistry())
-        t.newRow().add(e.name).add(e.legacy).add(e.title);
+        t.newRow().add(e.name).add(e.title);
     t.print(os);
 }
 
@@ -524,12 +524,11 @@ printExecStats(std::ostream &err)
     const SimCache &cache = SimCache::global();
     err << csprintf(
         "bwsim: exec stats: sims=%llu mem-hits=%llu disk-hits=%llu "
-        "disk-stores=%llu skipped=%llu backend=%s\n",
+        "disk-stores=%llu backend=%s\n",
         static_cast<unsigned long long>(cache.simsRun()),
         static_cast<unsigned long long>(cache.hits()),
         static_cast<unsigned long long>(cache.diskHits()),
         static_cast<unsigned long long>(cache.diskStores()),
-        static_cast<unsigned long long>(cache.skipped()),
         exp::executionBackend().name().c_str());
     const SimSpeedTotals speed = simSpeedTotals();
     err << csprintf(
@@ -932,132 +931,186 @@ runTraceTool(const std::vector<std::string> &args, std::ostream &out,
 
 #ifdef __unix__
 
-/** Join for --benches= round trips. */
-std::string
-joinCsv(const std::vector<std::string> &items)
+/** Thrown out of a --jobs sweep whose local workers have failed. */
+struct WorkerFailed
 {
-    std::string out;
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        if (i)
-            out += ',';
-        out += items[i];
-    }
-    return out;
-}
+};
 
 /**
- * The --jobs=N parent: fork N worker invocations of this binary, each
- * simulating one shard of the key space into a shared cache
- * directory, then run the experiments in-process against the warm
- * cache. The merged tables are byte-identical to a single-process
- * run.
+ * The --jobs=N pool: forked children of this process, each draining a
+ * scratch spool with the same runWorker() loop as `bwsim --worker`,
+ * and the queue backend that sends them this process's cache misses.
+ * Where a plain WorkQueueBackend would wait on a silent spool, this
+ * one checks on its workers and throws WorkerFailed when one died.
+ * Destruction kills and reaps any worker still running and removes
+ * the spool. Installed behind the global SimCache as its only owner,
+ * it is destroyed on every exit path, fatal() (std::exit: static
+ * destructors, no unwinding) included; a parent killed outright takes
+ * its workers down through PR_SET_PDEATHSIG.
+ */
+class LocalWorkers : public WorkQueueBackend
+{
+  public:
+    explicit LocalWorkers(const WorkQueueConfig &cfg)
+        : WorkQueueBackend(cfg), spoolDir(cfg.spoolDir)
+    {
+    }
+
+    ~LocalWorkers() override
+    {
+        for (pid_t pid : pids)
+            ::kill(pid, SIGKILL);
+        for (pid_t pid : pids)
+            ::waitpid(pid, nullptr, 0);
+        std::error_code ec;
+        std::filesystem::remove_all(spoolDir, ec);
+    }
+
+    LocalWorkers(const LocalWorkers &) = delete;
+    LocalWorkers &operator=(const LocalWorkers &) = delete;
+
+    /**
+     * Fork one worker; false when fork(2) fails. Call only while this
+     * process runs a single thread, and with every stream flushed: a
+     * child that exits through fatal() flushes what it inherited.
+     */
+    bool
+    spawn()
+    {
+        const pid_t parent = ::getpid();
+        const pid_t pid = ::fork();
+        if (pid < 0)
+            return false;
+        if (pid == 0)
+            runChild(parent);
+        pids.push_back(pid);
+        return true;
+    }
+
+    /** Write the stop sentinel and wait for every worker to drain the
+     *  spool and exit; false when any of them failed (or the sentinel
+     *  cannot be written: destruction then stops them). */
+    bool
+    stop()
+    {
+        if (!std::ofstream(std::filesystem::path(spoolDir) / "stop"))
+            return false;
+        for (pid_t pid : pids) {
+            int status = 0;
+            ::waitpid(pid, &status, 0);
+            noteExit(status);
+        }
+        pids.clear();
+        return ok;
+    }
+
+  protected:
+    void
+    idle(double) override
+    {
+        for (auto it = pids.begin(); it != pids.end();) {
+            int status = 0;
+            if (::waitpid(*it, &status, WNOHANG) == *it) {
+                noteExit(status);
+                it = pids.erase(it);
+            } else {
+                ++it;
+            }
+        }
+        if (!ok)
+            throw WorkerFailed{};
+    }
+
+  private:
+    void
+    noteExit(int status)
+    {
+        ok = ok && WIFEXITED(status) && WEXITSTATUS(status) == 0;
+    }
+
+    [[noreturn]] void
+    runChild(pid_t parent)
+    {
+#ifdef __linux__
+        ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+#endif
+        if (::getppid() != parent) // the parent died before prctl()
+            ::_exit(1);
+        int rc = 0;
+        try {
+            // The parent's disk tier and backend stay the parent's: a
+            // worker simulates what it is sent and only replies.
+            SimCache &cache = SimCache::global();
+            cache.attachDiskTier("");
+            cache.setSimulationBackend(nullptr);
+            WorkQueueConfig cfg;
+            cfg.spoolDir = spoolDir;
+            runWorker(cfg, cache);
+        } catch (...) {
+            rc = 1; // never unwind into the parent's call stack
+        }
+        ::_exit(rc);
+    }
+
+    std::string spoolDir;
+    std::vector<pid_t> pids;
+    bool ok = true;
+};
+
+/**
+ * The --jobs=N run: fork N local work-queue workers over a scratch
+ * spool, then run the experiments in-process with cache misses going
+ * to that spool -- the --backend=queue path, so the tables are
+ * byte-identical to a single-process run. A --cache-dir stays this
+ * process's disk tier.
  */
 int
 runJobs(const std::vector<std::string> &names,
-        exp::ExperimentOptions opts, std::ostream &out, std::ostream &err)
+        const exp::ExperimentOptions &opts, std::ostream &out,
+        std::ostream &err)
 {
-    char exe[4096];
-    ssize_t len = ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
-    if (len <= 0) {
-        err << "bwsim: --jobs needs /proc/self/exe to respawn itself\n";
+    const std::string tmpl_str = scratchSpoolDirTemplate();
+    std::vector<char> tmpl(tmpl_str.begin(), tmpl_str.end());
+    tmpl.push_back('\0');
+    if (!::mkdtemp(tmpl.data())) {
+        err << "bwsim: cannot create a --jobs spool under '" << tmpl_str
+            << "'\n";
         return 1;
     }
-    exe[len] = '\0';
+    WorkQueueConfig cfg;
+    cfg.spoolDir = tmpl.data();
+    cfg.jobTimeoutSec = static_cast<double>(opts.jobTimeoutSec);
+    auto workers = std::make_shared<LocalWorkers>(cfg);
 
-    std::string dir = opts.cacheDir;
-    if (dir.empty()) {
-        std::string tmpl_str = scratchCacheDirTemplate();
-        std::vector<char> tmpl(tmpl_str.begin(), tmpl_str.end());
-        tmpl.push_back('\0');
-        const char *d = ::mkdtemp(tmpl.data());
-        if (!d) {
-            err << "bwsim: cannot create a temporary --jobs cache dir "
-                   "under '"
-                << tmpl_str << "'\n";
-            return 1;
-        }
-        dir = d;
-        err << "bwsim: --jobs without --cache-dir; results kept in "
-            << dir << "\n";
-    }
-
-    // Divide the thread budget across workers instead of letting each
-    // one claim the whole machine (0 = hardware concurrency).
-    int total_threads =
-        opts.threads > 0
-            ? opts.threads
-            : static_cast<int>(
-                  std::max(1u, std::thread::hardware_concurrency()));
-    int worker_threads = std::max(1, total_threads / opts.jobs);
-
-    std::vector<std::string> common_args;
-    for (const auto &n : names)
-        common_args.push_back(n);
-    if (!opts.benchmarks.empty())
-        common_args.push_back("--benches=" + joinCsv(opts.benchmarks));
-    if (!opts.tracePath.empty())
-        common_args.push_back("--trace=" + opts.tracePath);
-    common_args.push_back(csprintf("--threads=%d", worker_threads));
-    common_args.push_back(csprintf("--shrink=%d", opts.shrink));
-    common_args.push_back("--cache-dir=" + dir);
-    common_args.push_back(csprintf("--shards=%d", opts.jobs));
-
-    std::vector<pid_t> workers;
+    out.flush();
+    err.flush();
+    std::fflush(nullptr);
     for (int i = 0; i < opts.jobs; ++i) {
-        pid_t pid = ::fork();
-        if (pid < 0) {
-            err << "bwsim: fork failed for shard worker " << i << "\n";
-            for (pid_t w : workers)
-                ::waitpid(w, nullptr, 0);
+        if (!workers->spawn()) {
+            err << "bwsim: fork failed for --jobs worker " << i << "\n";
             return 1;
         }
-        if (pid == 0) {
-            // Workers stay quiet on stdout: the parent's merge pass
-            // prints the tables. stderr stays shared for errors. A
-            // worker that cannot detach stdout must die rather than
-            // interleave its tables with the merge pass's.
-            int devnull = ::open("/dev/null", O_WRONLY);
-            if (devnull < 0)
-                ::_exit(125);
-            ::dup2(devnull, STDOUT_FILENO);
-            ::close(devnull);
-            std::vector<std::string> args = common_args;
-            args.push_back(csprintf("--shard-id=%d", i));
-            std::vector<char *> argv;
-            argv.push_back(exe);
-            for (auto &a : args)
-                argv.push_back(const_cast<char *>(a.c_str()));
-            argv.push_back(nullptr);
-            ::execv(exe, argv.data());
-            ::_exit(127);
+    }
+
+    exp::configureExecution(opts);
+    SimCache &cache = SimCache::global();
+    LocalWorkers &pool = *workers;
+    cache.setSimulationBackend(std::move(workers));
+    bool ok = false;
+    try {
+        for (std::size_t i = 0; i < names.size(); ++i) {
+            if (i > 0)
+                out << "\n";
+            findExperiment(names[i])->run(opts, out);
         }
-        workers.push_back(pid);
+        ok = pool.stop();
+    } catch (const WorkerFailed &) {
+        ok = false;
     }
-
-    bool failed = false;
-    for (pid_t w : workers) {
-        int status = 0;
-        if (::waitpid(w, &status, 0) < 0 || !WIFEXITED(status) ||
-            WEXITSTATUS(status) != 0)
-            failed = true;
-    }
-    if (failed) {
-        err << "bwsim: a --jobs shard worker failed\n";
+    cache.setSimulationBackend(nullptr);
+    if (!ok) {
+        err << "bwsim: a --jobs worker failed\n";
         return 1;
-    }
-
-    // Merge pass: every unique pair is warm in the shared directory,
-    // so this simulates nothing and prints in spec order.
-    opts.jobs = 1;
-    opts.shards = 1;
-    opts.shardId = 0;
-    opts.cacheDir = dir;
-    for (std::size_t i = 0; i < names.size(); ++i) {
-        if (i > 0)
-            out << "\n";
-        int rc = runExperiment(names[i], opts, out, err);
-        if (rc)
-            return rc;
     }
     return 0;
 }
@@ -1067,7 +1120,7 @@ runJobs(const std::vector<std::string> &names,
 } // anonymous namespace
 
 std::string
-scratchCacheDirTemplate()
+scratchSpoolDirTemplate()
 {
     // Respect TMPDIR like mktemp(1)/mkstemp(3) users do; /tmp is only
     // the fallback. Trailing slashes are trimmed so "$TMPDIR/" does
@@ -1076,47 +1129,32 @@ scratchCacheDirTemplate()
     std::string base = (tmpdir && *tmpdir) ? tmpdir : "/tmp";
     while (base.size() > 1 && base.back() == '/')
         base.pop_back();
-    return base + "/bwsim-cache-XXXXXX";
+    return base + "/bwsim-spool-XXXXXX";
 }
 
 const std::vector<Experiment> &
 experimentRegistry()
 {
     static const std::vector<Experiment> registry = {
-        {"tab1", "Table I: baseline architecture parameters",
-         "bench_tab01_config_dump", runTab1},
-        {"fig1", "Fig. 1: issue stalls and memory latencies",
-         "bench_fig01_stalls_latency", runFig1},
-        {"tab2", "Table II: P-inf / P-DRAM speedup bounds",
-         "bench_tab02_speedup_bounds", runTab2},
-        {"fig3", "Fig. 3: IPC vs. fixed L1 miss latency",
-         "bench_fig03_latency_sweep", runFig3},
-        {"fig4", "Fig. 4: L2 access queue occupancy",
-         "bench_fig04_l2q_occupancy", runFig4},
-        {"fig5", "Fig. 5: DRAM access queue occupancy",
-         "bench_fig05_dramq_occupancy", runFig5},
-        {"sec4", "Sec. IV-B1: DRAM bandwidth efficiency",
-         "bench_sec4_dram_efficiency", runSec4},
-        {"fig7", "Fig. 7: issue-stall distribution",
-         "bench_fig07_issue_stalls", runFig7},
-        {"fig8", "Fig. 8: L2 stall distribution",
-         "bench_fig08_l2_stalls", runFig8},
-        {"fig9", "Fig. 9: L1 stall distribution",
-         "bench_fig09_l1_stalls", runFig9},
+        {"tab1", "Table I: baseline architecture parameters", runTab1},
+        {"fig1", "Fig. 1: issue stalls and memory latencies", runFig1},
+        {"tab2", "Table II: P-inf / P-DRAM speedup bounds", runTab2},
+        {"fig3", "Fig. 3: IPC vs. fixed L1 miss latency", runFig3},
+        {"fig4", "Fig. 4: L2 access queue occupancy", runFig4},
+        {"fig5", "Fig. 5: DRAM access queue occupancy", runFig5},
+        {"sec4", "Sec. IV-B1: DRAM bandwidth efficiency", runSec4},
+        {"fig7", "Fig. 7: issue-stall distribution", runFig7},
+        {"fig8", "Fig. 8: L2 stall distribution", runFig8},
+        {"fig9", "Fig. 9: L1 stall distribution", runFig9},
         {"sec6", "Sec. VI: hierarchy mitigations (bandwidth + speedup)",
-         "bench_sec6_mitigations", runSec6},
-        {"tab3", "Table III: consolidated design space",
-         "bench_tab03_design_space", runTab3},
-        {"fig10", "Fig. 10: 4x bandwidth scaling",
-         "bench_fig10_dse_scaling", runFig10},
-        {"fig11", "Fig. 11: core-frequency sweep",
-         "bench_fig11_freq_sweep", runFig11},
-        {"fig12", "Fig. 12: cost-effective configurations",
-         "bench_fig12_cost_effective", runFig12},
+         runSec6},
+        {"tab3", "Table III: consolidated design space", runTab3},
+        {"fig10", "Fig. 10: 4x bandwidth scaling", runFig10},
+        {"fig11", "Fig. 11: core-frequency sweep", runFig11},
+        {"fig12", "Fig. 12: cost-effective configurations", runFig12},
         {"sec7", "Sec. VII: area overhead of cost-effective configs",
-         "bench_sec7_area_overhead", runSec7},
-        {"ablation", "Each Table III knob alone at 4x",
-         "bench_ablation_knobs", runAblation},
+         runSec7},
+        {"ablation", "Each Table III knob alone at 4x", runAblation},
     };
     return registry;
 }
@@ -1143,13 +1181,6 @@ runExperiment(const std::string &name, const exp::ExperimentOptions &opts,
     exp::configureExecution(opts);
     e->run(opts, out);
     return 0;
-}
-
-int
-runExperimentFromEnv(const std::string &name)
-{
-    return runExperiment(name, exp::ExperimentOptions::fromEnv(),
-                         std::cout, std::cerr);
 }
 
 int
@@ -1215,6 +1246,11 @@ cliMain(int argc, const char *const *argv, std::ostream &out,
             if (!parseIntFlag("--threads", valueOf("--threads="),
                               opts.threads))
                 return 1;
+            if (opts.threads < 0) {
+                err << "bwsim: --threads must be >= 0 (0 = hardware "
+                       "concurrency)\n";
+                return 1;
+            }
         } else if (a.rfind("--shrink=", 0) == 0) {
             if (!parseIntFlag("--shrink", valueOf("--shrink="),
                               opts.shrink))
@@ -1223,7 +1259,8 @@ cliMain(int argc, const char *const *argv, std::ostream &out,
         } else if (a.rfind("--format=", 0) == 0) {
             if (!exp::parseTableFormat(valueOf("--format="),
                                        opts.format)) {
-                err << "bwsim: --format expects text, csv or tsv, got '"
+                err << "bwsim: --format expects text, csv, tsv or json, "
+                       "got '"
                     << valueOf("--format=") << "'\n";
                 return 1;
             }
@@ -1231,14 +1268,6 @@ cliMain(int argc, const char *const *argv, std::ostream &out,
             opts.cacheDir = valueOf("--cache-dir=");
         } else if (a.rfind("--jobs=", 0) == 0) {
             if (!parseIntFlag("--jobs", valueOf("--jobs="), opts.jobs))
-                return 1;
-        } else if (a.rfind("--shards=", 0) == 0) {
-            if (!parseIntFlag("--shards", valueOf("--shards="),
-                              opts.shards))
-                return 1;
-        } else if (a.rfind("--shard-id=", 0) == 0) {
-            if (!parseIntFlag("--shard-id", valueOf("--shard-id="),
-                              opts.shardId))
                 return 1;
         } else if (a.rfind("--backend=", 0) == 0) {
             opts.backend = valueOf("--backend=");
@@ -1291,31 +1320,12 @@ cliMain(int argc, const char *const *argv, std::ostream &out,
         }
     }
 
-    if (opts.shards < 1) {
-        err << "bwsim: --shards must be >= 1\n";
-        return 1;
-    }
-    if (opts.shardId < 0 || opts.shardId >= opts.shards) {
-        err << "bwsim: --shard-id must be in [0, --shards)\n";
-        return 1;
-    }
     if (opts.jobs < 1) {
         err << "bwsim: --jobs must be >= 1\n";
         return 1;
     }
-    if (opts.jobs > 1 && opts.shards > 1) {
-        err << "bwsim: --jobs (parent fan-out) and --shards/--shard-id "
-               "(worker identity) are mutually exclusive\n";
-        return 1;
-    }
-    if (opts.shards > 1 && opts.cacheDir.empty()) {
-        err << "bwsim: --shards requires --cache-dir (workers publish "
-               "their results there)\n";
-        return 1;
-    }
-    if (opts.backend != "threads" && opts.backend != "jobs" &&
-        opts.backend != "queue") {
-        err << "bwsim: --backend expects threads, jobs or queue, got '"
+    if (opts.backend != "threads" && opts.backend != "queue") {
+        err << "bwsim: --backend expects threads or queue, got '"
             << opts.backend << "'\n";
         return 1;
     }
@@ -1324,20 +1334,15 @@ cliMain(int argc, const char *const *argv, std::ostream &out,
             err << "bwsim: --backend=queue requires --spool-dir\n";
             return 1;
         }
-        if (opts.jobs > 1 || opts.shards > 1) {
-            err << "bwsim: --backend=queue is incompatible with "
-                   "--jobs/--shards (workers come from bwsim "
-                   "--worker)\n";
+        if (opts.jobs > 1) {
+            err << "bwsim: --backend=queue is incompatible with --jobs "
+                   "(its workers come from bwsim --worker)\n";
             return 1;
         }
     }
-    if (opts.backend == "jobs" && opts.jobs < 2) {
-        err << "bwsim: --backend=jobs requires --jobs=N with N >= 2\n";
-        return 1;
-    }
     if (backend_flag && opts.backend == "threads" && opts.jobs > 1) {
-        err << "bwsim: --backend=threads contradicts --jobs=N (the "
-               "fork fan-out is --backend=jobs)\n";
+        err << "bwsim: --backend=threads contradicts --jobs=N (--jobs "
+               "runs the simulations in forked queue workers)\n";
         return 1;
     }
     if (opts.jobTimeoutSec < 1) {
@@ -1380,10 +1385,10 @@ cliMain(int argc, const char *const *argv, std::ostream &out,
                    "not tables; --format does not apply\n";
             return 1;
         }
-        if (opts.jobs > 1 || opts.shards > 1 ||
+        if (opts.jobs > 1 ||
             (backend_flag && opts.backend != "threads")) {
             err << "bwsim: --dump-stats simulates in-process; "
-                   "--jobs/--shards/--backend do not apply\n";
+                   "--jobs/--backend do not apply\n";
             return 1;
         }
         int dump_rc = runDumpStats(opts, config_name, out, err);
@@ -1444,25 +1449,6 @@ cliMain(int argc, const char *const *argv, std::ostream &out,
         err << "bwsim: --jobs is only supported on unix hosts\n";
         return 1;
 #endif
-    } else if (opts.shards > 1) {
-        // Worker mode: simulate this shard's share into the shared
-        // cache directory; tables come from the merge pass.
-        std::ostringstream sink;
-        for (const auto &n : names) {
-            rc = runExperiment(n, opts, sink, err);
-            if (rc)
-                return rc;
-        }
-        // Diagnostics go to stderr like every other bwsim message;
-        // worker stdout stays empty (tables come from the merge pass).
-        const SimCache &cache = SimCache::global();
-        err << csprintf(
-            "bwsim: shard %d/%d: sims=%llu disk-hits=%llu "
-            "skipped=%llu\n",
-            opts.shardId, opts.shards,
-            static_cast<unsigned long long>(cache.simsRun()),
-            static_cast<unsigned long long>(cache.diskHits()),
-            static_cast<unsigned long long>(cache.skipped()));
     } else {
         for (std::size_t i = 0; i < names.size() && rc == 0; ++i) {
             if (i > 0)

@@ -15,13 +15,12 @@
  * Running several experiments in one invocation shares simulations
  * through the SimCache, so the baseline runs feeding figs. 1/4/5/7/8/9
  * happen once, not once per figure. With --cache-dir they are also
- * shared across invocations (persistent on-disk tier) and across the
- * worker processes of a sharded sweep: --jobs=N forks N workers
- * (--shards=N --shard-id=i each) over the shared directory and then
- * prints merged tables byte-identical to a single-process run. The
- * legacy bench_* binaries are one-line wrappers over
- * runExperimentFromEnv() and print byte-for-byte the same report as
- * `bwsim <name>`.
+ * shared across invocations (persistent on-disk tier). There is one
+ * out-of-process path, the spool-directory work queue: --jobs=N forks
+ * N local workers over a scratch spool, --backend=queue sends the
+ * simulations to `bwsim --worker` processes on any hosts sharing a
+ * --spool-dir, and either prints tables byte-identical to a
+ * single-process run.
  */
 
 #ifndef BWSIM_CLI_CLI_HH
@@ -42,7 +41,6 @@ struct Experiment
 {
     std::string name;   ///< registry key, e.g. "fig7"
     std::string title;  ///< one-line description for --list
-    std::string legacy; ///< the bench_* binary this replaces
     std::function<void(const exp::ExperimentOptions &, std::ostream &)>
         run;
 };
@@ -62,17 +60,11 @@ int runExperiment(const std::string &name,
                   std::ostream &err);
 
 /**
- * Legacy bench_* entry point: options from BWSIM_* env vars, output
- * to stdout.
+ * mkdtemp(3) template for the scratch spool a --jobs run creates (and
+ * removes when it ends): "$TMPDIR/bwsim-spool-XXXXXX", falling back to
+ * /tmp when TMPDIR is unset or empty.
  */
-int runExperimentFromEnv(const std::string &name);
-
-/**
- * mkdtemp(3) template for the scratch cache directory a --jobs run
- * creates when no --cache-dir is given: "$TMPDIR/bwsim-cache-XXXXXX",
- * falling back to /tmp when TMPDIR is unset or empty.
- */
-std::string scratchCacheDirTemplate();
+std::string scratchSpoolDirTemplate();
 
 /** Full argv-driven entry point behind main(). */
 int cliMain(int argc, const char *const *argv, std::ostream &out,

@@ -3,10 +3,9 @@
  * ExecutionBackend: the pluggable seam between "which simulations do
  * the experiments need" and "how do they get executed". The seed's
  * hardwired thread pool is now one implementation (ThreadedBackend);
- * the memoizing SimCache front is another (CachingBackend); sharded
- * multi-process sweeps compose a ShardPolicy filter with a shared
- * on-disk cache directory (see src/core/sim_cache.hh and the CLI's
- * --jobs / --shards modes).
+ * the memoizing SimCache front is another (CachingBackend); the
+ * spool-directory work queue behind --backend=queue and --jobs=N is a
+ * third (WorkQueueBackend, src/core/work_queue.hh).
  */
 
 #ifndef BWSIM_CORE_BACKEND_HH
@@ -15,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "common/serdes.hh"
 #include "core/dse.hh"
 
 namespace bwsim
@@ -65,9 +63,9 @@ class ThreadedBackend : public ExecutionBackend
 
 /**
  * Memoizing front over a SimCache (in-memory tier plus whatever disk
- * tier / shard policy the cache is configured with); misses go to the
- * cache's simulation backend. This is what the experiment framework
- * runs through.
+ * tier the cache is configured with); misses go to the cache's
+ * simulation backend. This is what the experiment framework runs
+ * through.
  */
 class CachingBackend : public ExecutionBackend
 {
@@ -81,29 +79,6 @@ class CachingBackend : public ExecutionBackend
 
   private:
     SimCache &cache;
-};
-
-/**
- * Deterministic assignment of cache keys to shard workers: a key
- * belongs to shard fnv1a64(key) % shards. Stateless, so every worker
- * of a sharded sweep computes the same owner for the same pair no
- * matter how its experiments enumerate specs.
- */
-struct ShardPolicy
-{
-    int shards = 1;
-    int shardId = 0;
-
-    bool active() const { return shards > 1; }
-
-    bool
-    mine(const std::string &key) const
-    {
-        if (!active())
-            return true;
-        return fnv1a64(key) % static_cast<std::uint64_t>(shards) ==
-               static_cast<std::uint64_t>(shardId);
-    }
 };
 
 } // namespace bwsim

@@ -3,7 +3,7 @@
  * DiskSimCache: the persistent on-disk tier behind SimCache, keyed by
  * the same cacheKey() strings as the in-memory tier. One file per
  * (profile, config) pair under a --cache-dir directory, so repeated
- * driver invocations -- and the shard workers of a multi-process
+ * driver invocations -- and the work-queue workers of a multi-host
  * sweep sharing one directory -- skip warm simulations entirely.
  *
  * File format (common/serdes.hh, little-endian):

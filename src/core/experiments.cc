@@ -78,21 +78,58 @@ backendSlot()
 }
 
 /**
- * Run one config across all benchmarks through the process-wide
+ * Run every config across all benchmarks through the process-wide
  * execution backend (by default a CachingBackend over the global
  * SimCache): figures sharing (profile, config) pairs -- above all the
  * baseline runs -- simulate them once per driver invocation, and once
- * per cache directory when a disk tier is attached.
+ * per cache directory when a disk tier is attached. The whole grid is
+ * one batch, so a --threads pool or the --jobs workers run all of it
+ * at once instead of meeting a barrier after each config. Results
+ * come back per config, in profile order.
  */
-std::vector<SimResult>
-runConfig(const std::vector<WorkloadSpec> &profiles, const GpuConfig &cfg,
-          int threads)
+std::vector<std::vector<SimResult>>
+runConfigs(const std::vector<WorkloadSpec> &profiles,
+           const std::vector<GpuConfig> &configs, int threads)
 {
     std::vector<RunSpec> specs;
-    specs.reserve(profiles.size());
-    for (const auto &p : profiles)
-        specs.push_back({p, cfg});
-    return executionBackend().runAll(specs, threads);
+    specs.reserve(profiles.size() * configs.size());
+    for (const auto &cfg : configs)
+        for (const auto &p : profiles)
+            specs.push_back({p, cfg});
+    const auto flat = executionBackend().runAll(specs, threads);
+    const std::size_t n = profiles.size();
+    std::vector<std::vector<SimResult>> out(configs.size());
+    for (std::size_t c = 0; c < configs.size(); ++c)
+        out[c].assign(flat.begin() + c * n, flat.begin() + (c + 1) * n);
+    return out;
+}
+
+/** Per-benchmark speedup of each of @p configs over @p base: one
+ *  column per config. */
+std::vector<std::vector<double>>
+speedupColumns(const std::vector<WorkloadSpec> &profiles,
+               const GpuConfig &base, std::vector<GpuConfig> configs,
+               int threads)
+{
+    configs.insert(configs.begin(), base);
+    const auto res = runConfigs(profiles, configs, threads);
+    std::vector<std::vector<double>> cols;
+    for (std::size_t c = 1; c < res.size(); ++c) {
+        std::vector<double> col;
+        for (std::size_t b = 0; b < profiles.size(); ++b)
+            col.push_back(res[c][b].speedupOver(res[0][b]));
+        cols.push_back(std::move(col));
+    }
+    return cols;
+}
+
+std::vector<std::string>
+namesOf(const std::vector<GpuConfig> &configs)
+{
+    std::vector<std::string> names;
+    for (const auto &cfg : configs)
+        names.push_back(cfg.name);
+    return names;
 }
 
 /** True when any workload is not a plain synthetic profile -- the
@@ -208,6 +245,9 @@ ExperimentOptions::fromEnv()
     if (const char *t = std::getenv("BWSIM_THREADS")) {
         if (!parseInt(t, o.threads))
             fatal("BWSIM_THREADS expects an integer, got '%s'", t);
+        if (o.threads < 0)
+            fatal("BWSIM_THREADS must be >= 0 (0 = hardware "
+                  "concurrency), got '%s'", t);
     }
     if (const char *s = std::getenv("BWSIM_SHRINK")) {
         if (!parseInt(s, o.shrink))
@@ -256,7 +296,6 @@ configureExecution(const ExperimentOptions &opts)
 {
     SimCache &cache = SimCache::global();
     cache.attachDiskTier(opts.cacheDir);
-    cache.setShardPolicy({opts.shards, opts.shardId});
     if (opts.backend == "queue" && !opts.spoolDir.empty()) {
         // Cache misses become spool job files drained by external
         // bwsim --worker processes; everything above the SimCache is
@@ -323,8 +362,9 @@ selectBenchmarks(const ExperimentOptions &opts)
 std::vector<SimResult>
 baselineResults(const ExperimentOptions &opts)
 {
-    return runConfig(selectBenchmarks(opts), GpuConfig::baseline(),
-                     opts.threads);
+    return runConfigs(selectBenchmarks(opts), {GpuConfig::baseline()},
+                      opts.threads)
+        .front();
 }
 
 SeriesTable
@@ -441,15 +481,9 @@ SeriesTable
 tab2SpeedupBounds(const ExperimentOptions &opts)
 {
     auto profiles = selectBenchmarks(opts);
-    auto base = runConfig(profiles, GpuConfig::baseline(), opts.threads);
-    auto pinf = runConfig(profiles, GpuConfig::perfectMem(), opts.threads);
-    auto pdram = runConfig(profiles, GpuConfig::idealDram(), opts.threads);
-
-    std::vector<std::vector<double>> speedups(2);
-    for (std::size_t b = 0; b < profiles.size(); ++b) {
-        speedups[0].push_back(pinf[b].speedupOver(base[b]));
-        speedups[1].push_back(pdram[b].speedupOver(base[b]));
-    }
+    auto speedups = speedupColumns(
+        profiles, GpuConfig::baseline(),
+        {GpuConfig::perfectMem(), GpuConfig::idealDram()}, opts.threads);
     return buildSpeedupTable(profiles, {"P-inf", "P-DRAM"}, speedups,
                              "speedup");
 }
@@ -472,19 +506,14 @@ fig3LatencySweep(const ExperimentOptions &opts,
                  const std::vector<std::uint32_t> &latencies)
 {
     auto profiles = selectBenchmarks(opts);
-    auto base = runConfig(profiles, GpuConfig::baseline(), opts.threads);
-
+    std::vector<GpuConfig> configs;
     std::vector<std::string> config_names;
-    std::vector<std::vector<double>> speedups;
     for (std::uint32_t lat : latencies) {
-        auto res = runConfig(profiles, GpuConfig::fixedL1Lat(lat),
-                             opts.threads);
-        std::vector<double> col;
-        for (std::size_t b = 0; b < profiles.size(); ++b)
-            col.push_back(res[b].speedupOver(base[b]));
+        configs.push_back(GpuConfig::fixedL1Lat(lat));
         config_names.push_back(csprintf("%u", lat));
-        speedups.push_back(std::move(col));
     }
+    auto speedups = speedupColumns(profiles, GpuConfig::baseline(),
+                                   configs, opts.threads);
     return buildSpeedupTable(profiles, config_names, speedups,
                              "ipc-normalized");
 }
@@ -493,24 +522,14 @@ SeriesTable
 fig10DseScaling(const ExperimentOptions &opts)
 {
     auto profiles = selectBenchmarks(opts);
-    auto base = runConfig(profiles, GpuConfig::baseline(), opts.threads);
-
     std::vector<GpuConfig> configs{
         GpuConfig::scaledL1(),     GpuConfig::scaledL2(),
         GpuConfig::scaledDram(),   GpuConfig::scaledL1L2(),
         GpuConfig::scaledL2Dram(), GpuConfig::scaledAll()};
-
-    std::vector<std::string> names;
-    std::vector<std::vector<double>> speedups;
-    for (const auto &cfg : configs) {
-        auto res = runConfig(profiles, cfg, opts.threads);
-        std::vector<double> col;
-        for (std::size_t b = 0; b < profiles.size(); ++b)
-            col.push_back(res[b].speedupOver(base[b]));
-        names.push_back(cfg.name);
-        speedups.push_back(std::move(col));
-    }
-    return buildSpeedupTable(profiles, names, speedups, "speedup");
+    auto speedups = speedupColumns(profiles, GpuConfig::baseline(),
+                                   configs, opts.threads);
+    return buildSpeedupTable(profiles, namesOf(configs), speedups,
+                             "speedup");
 }
 
 std::vector<double>
@@ -530,45 +549,30 @@ fig11FrequencySweep(const ExperimentOptions &opts,
                     const std::vector<double> &freqs_ghz)
 {
     auto profiles = selectBenchmarks(opts);
-    auto base = runConfig(profiles, GpuConfig::baseline(), opts.threads);
-
-    std::vector<std::string> names;
-    std::vector<std::vector<double>> speedups;
+    std::vector<GpuConfig> configs;
     for (double f : freqs_ghz) {
         GpuConfig cfg = GpuConfig::baseline();
         cfg.name = csprintf("%.1fGHz", f);
         cfg.coreClockMhz = f * 1000.0;
-        auto res = runConfig(profiles, cfg, opts.threads);
-        std::vector<double> col;
-        for (std::size_t b = 0; b < profiles.size(); ++b)
-            col.push_back(res[b].speedupOver(base[b]));
-        names.push_back(cfg.name);
-        speedups.push_back(std::move(col));
+        configs.push_back(cfg);
     }
-    return buildSpeedupTable(profiles, names, speedups, "perf-normalized");
+    auto speedups = speedupColumns(profiles, GpuConfig::baseline(),
+                                   configs, opts.threads);
+    return buildSpeedupTable(profiles, namesOf(configs), speedups,
+                             "perf-normalized");
 }
 
 SeriesTable
 fig12CostEffective(const ExperimentOptions &opts)
 {
     auto profiles = selectBenchmarks(opts);
-    auto base = runConfig(profiles, GpuConfig::baseline(), opts.threads);
-
     std::vector<GpuConfig> configs{
         GpuConfig::costEffective16_48(), GpuConfig::costEffective16_68(),
         GpuConfig::costEffective32_52(), GpuConfig::hbm()};
-
-    std::vector<std::string> names;
-    std::vector<std::vector<double>> speedups;
-    for (const auto &cfg : configs) {
-        auto res = runConfig(profiles, cfg, opts.threads);
-        std::vector<double> col;
-        for (std::size_t b = 0; b < profiles.size(); ++b)
-            col.push_back(res[b].speedupOver(base[b]));
-        names.push_back(cfg.name);
-        speedups.push_back(std::move(col));
-    }
-    return buildSpeedupTable(profiles, names, speedups, "speedup");
+    auto speedups = speedupColumns(profiles, GpuConfig::baseline(),
+                                   configs, opts.threads);
+    return buildSpeedupTable(profiles, namesOf(configs), speedups,
+                             "speedup");
 }
 
 std::vector<GpuConfig>
@@ -603,10 +607,7 @@ sec6BandwidthUtilization(const ExperimentOptions &opts)
     }
     t.table = stats::TextTable(headers);
 
-    std::vector<std::vector<SimResult>> results;
-    results.reserve(configs.size());
-    for (const auto &cfg : configs)
-        results.push_back(runConfig(profiles, cfg, opts.threads));
+    const auto results = runConfigs(profiles, configs, opts.threads);
 
     std::vector<double> col_sums(t.colNames.size(), 0.0);
     for (std::size_t b = 0; b < profiles.size(); ++b) {
@@ -642,19 +643,11 @@ sec6MitigationSpeedups(const ExperimentOptions &opts)
 {
     auto profiles = selectBenchmarks(opts);
     auto configs = mitigationConfigs();
-    auto base = runConfig(profiles, configs.front(), opts.threads);
-
-    std::vector<std::string> names;
-    std::vector<std::vector<double>> speedups;
-    for (std::size_t c = 1; c < configs.size(); ++c) {
-        auto res = runConfig(profiles, configs[c], opts.threads);
-        std::vector<double> col;
-        for (std::size_t b = 0; b < profiles.size(); ++b)
-            col.push_back(res[b].speedupOver(base[b]));
-        names.push_back(configs[c].name);
-        speedups.push_back(std::move(col));
-    }
-    return buildSpeedupTable(profiles, names, speedups, "speedup");
+    const GpuConfig base = configs.front();
+    configs.erase(configs.begin());
+    auto speedups = speedupColumns(profiles, base, configs, opts.threads);
+    return buildSpeedupTable(profiles, namesOf(configs), speedups,
+                             "speedup");
 }
 
 stats::TextTable

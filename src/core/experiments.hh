@@ -2,7 +2,7 @@
  * @file
  * The experiment registry: one function per table/figure of the paper.
  * Each returns a SeriesTable -- a printable TextTable plus the raw
- * numeric grid -- so benchmark binaries print it and tests assert on
+ * numeric grid -- so the bwsim driver prints it and tests assert on
  * it. `bwsim --list` prints the index (the registry in src/cli/cli.cc).
  */
 
@@ -42,21 +42,20 @@ struct ExperimentOptions
     /** Trace file to run (text "type addr" or packed binary); when
      *  set and benchmarks is empty, only the trace runs. */
     std::string tracePath;
-    /** Host threads for the parallel runner (0 = hardware). */
+    /** Host threads for the parallel runner (0 = hardware; negative
+     *  values are rejected by the CLI and fromEnv()). */
     int threads = 0;
     /** Divide workload size by this factor (quick runs, tests). */
     int shrink = 1;
     /** Persistent SimCache tier directory; empty = memory only. */
     std::string cacheDir;
-    /** Sharded-sweep worker identity: simulate only the keys hashing
-     *  to shardId of shards (shards == 1 disables filtering). */
-    int shards = 1;
-    int shardId = 0;
-    /** Parent fan-out: fork this many shard workers (CLI only). */
+    /** Local fan-out (CLI only): fork this many work-queue workers
+     *  over a scratch spool, one simulation each at a time; threads
+     *  does not apply to them. */
     int jobs = 1;
-    /** How cache misses execute: "threads" (in-process pool),
-     *  "jobs" (forked shard workers), or "queue" (spool-dir work
-     *  queue drained by external bwsim --worker processes). */
+    /** How cache misses execute: "threads" (in-process pool) or
+     *  "queue" (spool-dir work queue drained by bwsim --worker
+     *  processes). */
     std::string backend = "threads";
     /** Work-queue spool directory (backend == "queue"). */
     std::string spoolDir;
@@ -67,9 +66,9 @@ struct ExperimentOptions
 
     /**
      * Read BWSIM_BENCHES / BWSIM_THREADS / BWSIM_SHRINK /
-     * BWSIM_CACHE_DIR / BWSIM_SPOOL_DIR. Malformed integers are
-     * rejected with the same strict fatal() the CLI flags use, never
-     * silently defaulted.
+     * BWSIM_CACHE_DIR / BWSIM_SPOOL_DIR. Malformed integers and a
+     * negative thread count are rejected with the same strict fatal()
+     * the CLI flags use, never silently defaulted.
      */
     static ExperimentOptions fromEnv();
 };
@@ -115,9 +114,9 @@ void setExecutionBackend(std::unique_ptr<ExecutionBackend> backend);
 
 /**
  * Apply the execution-related knobs of @p opts to the process-wide
- * SimCache: attach/detach the on-disk tier (opts.cacheDir) and set
- * the shard policy (opts.shards / opts.shardId). Idempotent; called
- * by the CLI before running each batch of experiments.
+ * SimCache: attach/detach the on-disk tier (opts.cacheDir) and pick
+ * the simulation backend (opts.backend / opts.spoolDir). Idempotent;
+ * called by the CLI before running each batch of experiments.
  */
 void configureExecution(const ExperimentOptions &opts);
 

@@ -50,20 +50,6 @@ SimCache::diskTier() const
 }
 
 void
-SimCache::setShardPolicy(ShardPolicy policy)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    shard = policy;
-}
-
-ShardPolicy
-SimCache::shardPolicy() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return shard;
-}
-
-void
 SimCache::setSimulationBackend(std::shared_ptr<ExecutionBackend> backend)
 {
     std::lock_guard<std::mutex> lock(mu);
@@ -95,12 +81,10 @@ SimCache::runAll(const std::vector<RunSpec> &specs, int threads)
     std::vector<RunSpec> claimed;       // specs whose keys we claimed
     std::vector<std::string> claim_keys; // their keys, same order
     std::shared_ptr<DiskSimCache> disk_tier;
-    ShardPolicy shard_policy;
     std::shared_ptr<ExecutionBackend> backend;
     {
         std::lock_guard<std::mutex> lock(mu);
         disk_tier = disk;
-        shard_policy = shard;
         backend = simBackend;
         for (std::size_t i = 0; i < specs.size(); ++i) {
             keys[i] = keyOf(specs[i].workload, specs[i].config);
@@ -128,35 +112,18 @@ SimCache::runAll(const std::vector<RunSpec> &specs, int threads)
 
     if (!claimed.empty()) {
         // Resolve our claimed misses outside the lock: disk tier
-        // first, then the shard filter, then the execution backend.
+        // first, then the execution backend.
         std::vector<SimResult> resolved(claimed.size());
-        std::vector<char> have(claimed.size(), 0);
-        std::vector<char> skip(claimed.size(), 0);
         std::uint64_t disk_hits = 0, disk_stores = 0;
-
-        if (disk_tier) {
-            for (std::size_t r = 0; r < claimed.size(); ++r) {
-                if (disk_tier->load(claim_keys[r], resolved[r])) {
-                    have[r] = 1;
-                    ++disk_hits;
-                }
-            }
-        }
-        if (shard_policy.active()) {
-            // Keys owned by other workers stay unsimulated; the merge
-            // pass finds them in the shared cache directory.
-            for (std::size_t r = 0; r < claimed.size(); ++r)
-                if (!have[r] && !shard_policy.mine(claim_keys[r]))
-                    skip[r] = 1;
-        }
-
         std::vector<RunSpec> to_sim;
         std::vector<std::size_t> sim_idx;
         for (std::size_t r = 0; r < claimed.size(); ++r) {
-            if (!have[r] && !skip[r]) {
-                to_sim.push_back(claimed[r]);
-                sim_idx.push_back(r);
+            if (disk_tier && disk_tier->load(claim_keys[r], resolved[r])) {
+                ++disk_hits;
+                continue;
             }
+            to_sim.push_back(claimed[r]);
+            sim_idx.push_back(r);
         }
 
         if (!to_sim.empty()) {
@@ -172,10 +139,8 @@ SimCache::runAll(const std::vector<RunSpec> &specs, int threads)
                 cv.notify_all();
                 throw;
             }
-            for (std::size_t j = 0; j < sim_idx.size(); ++j) {
+            for (std::size_t j = 0; j < sim_idx.size(); ++j)
                 resolved[sim_idx[j]] = fresh[j];
-                have[sim_idx[j]] = 1;
-            }
             if (disk_tier)
                 for (std::size_t j = 0; j < sim_idx.size(); ++j)
                     if (disk_tier->store(claim_keys[sim_idx[j]], fresh[j]))
@@ -184,23 +149,14 @@ SimCache::runAll(const std::vector<RunSpec> &specs, int threads)
 
         std::lock_guard<std::mutex> lock(mu);
         for (std::size_t r = 0; r < claimed.size(); ++r) {
-            if (have[r]) {
-                results.emplace(claim_keys[r], resolved[r]);
-                skippedKeys.erase(claim_keys[r]);
-            } else {
-                skippedKeys.insert(claim_keys[r]);
-            }
+            results.emplace(claim_keys[r], resolved[r]);
             inFlight.erase(claim_keys[r]);
         }
         runCount += to_sim.size();
         diskHitCount += disk_hits;
         diskStoreCount += disk_stores;
-        for (std::size_t i : pending) {
-            std::size_t r = first_miss.at(keys[i]);
-            if (have[r])
-                out[i] = resolved[r];
-            // else: skipped by the shard filter, placeholder stays
-        }
+        for (std::size_t i : pending)
+            out[i] = resolved[first_miss.at(keys[i])];
         cv.notify_all();
     }
 
@@ -217,12 +173,8 @@ SimCache::runAll(const std::vector<RunSpec> &specs, int threads)
                 ++hitCount;
                 continue;
             }
-            // The producing call failed, skipped the key for another
-            // shard, or clear() dropped the result before we woke:
-            // resolve it ourselves. Shard-foreign keys stay skipped
-            // (the producer already counted them; see skipped()).
-            if (shard.active() && !shard.mine(keys[i]))
-                continue;
+            // The producing call failed, or clear() dropped the result
+            // before we woke: resolve it ourselves.
             inFlight.insert(keys[i]);
             lock.unlock();
             SimResult r;
@@ -249,7 +201,6 @@ SimCache::runAll(const std::vector<RunSpec> &specs, int threads)
             else
                 ++runCount;
             results.emplace(keys[i], r);
-            skippedKeys.erase(keys[i]);
             inFlight.erase(keys[i]);
             out[i] = r;
             cv.notify_all();
@@ -267,7 +218,6 @@ SimCache::clear()
     runCount = 0;
     diskHitCount = 0;
     diskStoreCount = 0;
-    skippedKeys.clear();
     // inFlight keys stay claimed by their active producers; wake
     // waiters so none sleeps through a result dropped before it woke.
     cv.notify_all();
@@ -299,13 +249,6 @@ SimCache::diskStores() const
 {
     std::lock_guard<std::mutex> lock(mu);
     return diskStoreCount;
-}
-
-std::uint64_t
-SimCache::skipped() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return skippedKeys.size();
 }
 
 std::size_t

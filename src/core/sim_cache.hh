@@ -8,11 +8,7 @@
  * Two tiers: the in-memory map here, optionally backed by a
  * persistent DiskSimCache (attachDiskTier) keyed by the same
  * cacheKey() strings, so repeated driver invocations skip warm
- * simulations. A ShardPolicy turns the cache into one worker of a
- * multi-process sweep: keys owned by other shards are neither
- * simulated nor faked -- they come back as skipped placeholders and
- * the merge pass reads them from the shared cache directory.
- * Simulation itself is delegated to a pluggable ExecutionBackend
+ * simulations. Simulation itself is delegated to a pluggable ExecutionBackend
  * (default: the in-process ThreadedBackend).
  *
  * The process-wide instance behind the experiment framework is
@@ -54,8 +50,7 @@ class SimCache
      * disk tier) and simulating the rest with up to @p threads host
      * threads (0 = hardware concurrency). Duplicate specs within one
      * batch are simulated only once. Results are returned in spec
-     * order. Under an active ShardPolicy, specs owned by other shards
-     * come back default-constructed (see skipped()).
+     * order.
      */
     std::vector<SimResult> runAll(const std::vector<RunSpec> &specs,
                                   int threads = 0);
@@ -72,10 +67,6 @@ class SimCache
      *  ownership: the tier stays valid even if another thread
      *  re-attaches a different directory. */
     std::shared_ptr<const DiskSimCache> diskTier() const;
-
-    /** Restrict simulation to this worker's share of the key space. */
-    void setShardPolicy(ShardPolicy policy);
-    ShardPolicy shardPolicy() const;
 
     /**
      * Replace the simulation backend (null restores the default
@@ -95,16 +86,12 @@ class SimCache
     /** In-memory tier hits. */
     std::uint64_t hits() const;
     /** Number of simulations actually executed ( == misses that were
-     *  neither on disk nor owned by another shard). */
+     *  not on disk). */
     std::uint64_t simsRun() const;
     /** Results recalled from the disk tier. */
     std::uint64_t diskHits() const;
     /** Results persisted to the disk tier. */
     std::uint64_t diskStores() const;
-    /** Unique keys left to other shards of a sharded sweep and still
-     *  unresolved in this invocation (a key later recalled from the
-     *  shared directory stops counting as skipped). */
-    std::uint64_t skipped() const;
     std::size_t size() const;
     /**@}*/
 
@@ -126,16 +113,11 @@ class SimCache
     /** Shared so in-flight runAll() calls that snapshotted the tier
      *  survive a concurrent attachDiskTier(). */
     std::shared_ptr<DiskSimCache> disk;
-    ShardPolicy shard;
     std::shared_ptr<ExecutionBackend> simBackend;
     std::uint64_t hitCount = 0;
     std::uint64_t runCount = 0;
     std::uint64_t diskHitCount = 0;
     std::uint64_t diskStoreCount = 0;
-    /** Shard-foreign keys with no result yet; a set, not a counter,
-     *  so a key skipped by several experiments of one invocation
-     *  reports as one skip (see skipped()). */
-    std::unordered_set<std::string> skippedKeys;
 };
 
 } // namespace bwsim

@@ -395,23 +395,27 @@ WorkQueueBackend::runAll(const std::vector<RunSpec> &specs, int threads)
     WorkQueue queue(cfg);
     queue.dispatch(specs);
     double waited = 0.0;
-    bool warned_idle = false;
     while (!queue.done()) {
         if (queue.poll() > 0) {
             waited = 0.0;
         } else {
+            idle(waited);
             sleepSeconds(cfg.pollIntervalSec);
             waited += cfg.pollIntervalSec;
-            if (!warned_idle && waited > 30.0) {
-                warned_idle = true;
-                warn("spool '%s': no replies for %.0fs; are any "
-                     "`bwsim --worker --spool-dir=%s` processes "
-                     "running?",
-                     cfg.spoolDir.c_str(), waited, cfg.spoolDir.c_str());
-            }
         }
     }
     return queue.results(specs);
+}
+
+void
+WorkQueueBackend::idle(double waited_sec)
+{
+    constexpr double kWarnAfterSec = 30.0;
+    if (waited_sec <= kWarnAfterSec &&
+        waited_sec + cfg.pollIntervalSec > kWarnAfterSec)
+        warn("spool '%s': no replies for %.0fs; are any "
+             "`bwsim --worker --spool-dir=%s` processes running?",
+             cfg.spoolDir.c_str(), kWarnAfterSec, cfg.spoolDir.c_str());
 }
 
 bool

@@ -3,7 +3,8 @@
  * Distributed work-queue execution: (workload, config) work units as
  * serialized job files in a shared spool directory, drained by any
  * number of `bwsim --worker` processes on any number of hosts that
- * share a filesystem.
+ * share a filesystem, or by the workers `bwsim --jobs=N` forks over a
+ * scratch spool.
  *
  * Spool layout (all files published via write-then-rename):
  *
@@ -26,11 +27,11 @@
  * loaded as garbage.
  *
  * The parent side is WorkQueueBackend, an ExecutionBackend that the
- * CLI installs behind the global SimCache for --backend=queue: cache
- * misses become job files, and the collected replies merge into
- * tables byte-identical to a single-process --backend=threads run
- * (simulations are deterministic and SimResult serialization is
- * bit-exact).
+ * CLI installs behind the global SimCache for --backend=queue and
+ * --jobs=N: cache misses become job files, and the collected replies
+ * merge into tables byte-identical to a single-process
+ * --backend=threads run (simulations are deterministic and SimResult
+ * serialization is bit-exact).
  */
 
 #ifndef BWSIM_CORE_WORK_QUEUE_HH
@@ -206,9 +207,9 @@ class WorkQueue
 
 /**
  * ExecutionBackend over a WorkQueue: runAll() dispatches every spec
- * and blocks polling until external workers have replied to all of
- * them. @p threads is ignored -- parallelism is however many workers
- * drain the spool.
+ * and blocks polling until workers have replied to all of them.
+ * @p threads is ignored -- parallelism is however many workers drain
+ * the spool.
  */
 class WorkQueueBackend : public ExecutionBackend
 {
@@ -221,6 +222,16 @@ class WorkQueueBackend : public ExecutionBackend
 
     std::vector<SimResult> runAll(const std::vector<RunSpec> &specs,
                                   int threads = 0) override;
+
+  protected:
+    /**
+     * Called after every poll pass that resolved nothing, with the
+     * seconds since the last reply. The default warns once a spool
+     * has been silent for 30 s (are any workers running?); a backend
+     * that supervises its own workers checks on them here instead
+     * and throws to abandon a sweep they can no longer finish.
+     */
+    virtual void idle(double waited_sec);
 
   private:
     WorkQueueConfig cfg;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Binary serialization of SimResult for the on-disk SimCache tier and
- * sharded-sweep result files. Field order here *is* the format;
+ * work-queue reply files. Field order here *is* the format;
  * simResultSerdesVersion (sim_result.hh) must be bumped with it.
  */
 

@@ -1,17 +1,20 @@
 /**
  * @file
  * bwsim CLI tests: registry completeness, --list, option parsing, and
- * parity between `bwsim <name>` and the legacy env-driven bench path.
+ * parity between `bwsim <name>`, runExperiment() and a --jobs run.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <vector>
 
 #include "cli/cli.hh"
+#include "core/sim_cache.hh"
 #include "sim/tick_profile.hh"
 
 using namespace bwsim;
@@ -34,7 +37,7 @@ runCli(std::vector<const char *> args, std::string &out_s,
 
 } // namespace
 
-TEST(Cli, RegistryCoversEveryLegacyBench)
+TEST(Cli, RegistryCoversEveryPaperExperiment)
 {
     const auto &reg = cli::experimentRegistry();
     // 17 experiments: figs 1/3/4/5/7/8/9/10/11/12, tables I-III,
@@ -42,7 +45,7 @@ TEST(Cli, RegistryCoversEveryLegacyBench)
     EXPECT_EQ(reg.size(), 17u);
     for (const auto &e : reg) {
         EXPECT_FALSE(e.name.empty());
-        EXPECT_FALSE(e.legacy.empty());
+        EXPECT_FALSE(e.title.empty());
         EXPECT_TRUE(bool(e.run)) << e.name;
         EXPECT_EQ(cli::findExperiment(e.name), &e);
     }
@@ -55,7 +58,6 @@ TEST(Cli, ListNamesEveryRegisteredExperiment)
     ASSERT_EQ(runCli({"--list"}, out, err), 0);
     for (const auto &e : cli::experimentRegistry()) {
         EXPECT_NE(out.find(e.name), std::string::npos) << e.name;
-        EXPECT_NE(out.find(e.legacy), std::string::npos) << e.legacy;
     }
     EXPECT_TRUE(err.empty());
 }
@@ -102,18 +104,17 @@ TEST(Cli, StaticTablesRunWithoutSimulation)
     EXPECT_NE(out.find("area overhead"), std::string::npos);
 }
 
-TEST(Cli, FlagOutputMatchesLegacyEnvDrivenPath)
+TEST(Cli, FlagOutputMatchesRunExperiment)
 {
-    // The legacy bench binaries call runExperiment() with env-derived
-    // options; for a static experiment both paths must print the same
-    // bytes.
-    std::ostringstream legacy, err;
-    ASSERT_EQ(cli::runExperiment("tab3", exp::ExperimentOptions{}, legacy,
+    // runExperiment() with default options and the argv path must
+    // print the same bytes.
+    std::ostringstream direct, err;
+    ASSERT_EQ(cli::runExperiment("tab3", exp::ExperimentOptions{}, direct,
                                  err),
               0);
     std::string out, err_s;
     ASSERT_EQ(runCli({"tab3"}, out, err_s), 0);
-    EXPECT_EQ(out, legacy.str());
+    EXPECT_EQ(out, direct.str());
 }
 
 TEST(Cli, MultipleExperimentsSeparatedByBlankLine)
@@ -159,6 +160,8 @@ TEST(Cli, UnknownFormatRejected)
     std::string out, err;
     EXPECT_NE(runCli({"tab1", "--format=xml"}, out, err), 0);
     EXPECT_NE(err.find("--format"), std::string::npos);
+    // The message lists every accepted format.
+    EXPECT_NE(err.find("json"), std::string::npos) << err;
 }
 
 TEST(Cli, FormatJsonEmitsOneObjectPerTableNoHeadings)
@@ -296,43 +299,29 @@ TEST(Cli, UsageMentionsTheTickProfileFlag)
     EXPECT_NE(out.find("--profile-ticks"), std::string::npos);
 }
 
-TEST(Cli, ShardOptionsValidated)
+TEST(Cli, ParallelismCountsValidated)
 {
     std::string out, err;
-    // --shards without a cache dir: the workers' results would be
-    // unreachable.
-    EXPECT_NE(runCli({"tab1", "--shards=2"}, out, err), 0);
-    EXPECT_NE(err.find("--cache-dir"), std::string::npos);
-
-    err.clear();
-    EXPECT_NE(runCli({"tab1", "--shards=0"}, out, err), 0);
-    EXPECT_NE(err.find("--shards"), std::string::npos);
-
-    err.clear();
-    EXPECT_NE(runCli({"tab1", "--shards=2", "--shard-id=2",
-                      "--cache-dir=/tmp/x"},
-                     out, err),
-              0);
-    EXPECT_NE(err.find("--shard-id"), std::string::npos);
-
-    err.clear();
-    EXPECT_NE(runCli({"tab1", "--jobs=2", "--shards=2",
-                      "--cache-dir=/tmp/x"},
-                     out, err),
-              0);
-    EXPECT_NE(err.find("mutually exclusive"), std::string::npos);
-
-    err.clear();
     EXPECT_NE(runCli({"tab1", "--jobs=0"}, out, err), 0);
     EXPECT_NE(err.find("--jobs"), std::string::npos);
+
+    // A negative thread count is a mistake, not "hardware concurrency".
+    err.clear();
+    EXPECT_NE(runCli({"tab1", "--threads=-3"}, out, err), 0);
+    EXPECT_NE(err.find("--threads must be >= 0"), std::string::npos)
+        << err;
+    EXPECT_TRUE(out.empty()) << out;
+
+    // 0 keeps meaning "hardware concurrency".
+    EXPECT_EQ(runCli({"tab1", "--threads=0"}, out, err), 0) << err;
 }
 
 TEST(Cli, UsageMentionsTheExecutionFlags)
 {
     std::string out, err;
     ASSERT_EQ(runCli({"--help"}, out, err), 0);
-    for (const char *flag : {"--cache-dir", "--jobs", "--shards",
-                             "--shard-id", "--format", "--exec-stats"})
+    for (const char *flag :
+         {"--cache-dir", "--jobs", "--format", "--exec-stats"})
         EXPECT_NE(out.find(flag), std::string::npos) << flag;
 }
 
@@ -347,18 +336,13 @@ TEST(Cli, BackendOptionsValidated)
     EXPECT_NE(runCli({"tab1", "--backend=queue"}, out, err), 0);
     EXPECT_NE(err.find("--spool-dir"), std::string::npos);
 
-    // queue and the fork/shard modes are different scale-out paths.
+    // --backend=queue waits on external workers; --jobs forks its own.
     err.clear();
     EXPECT_NE(runCli({"tab1", "--backend=queue", "--spool-dir=/tmp/s",
                       "--jobs=2"},
                      out, err),
               0);
     EXPECT_NE(err.find("incompatible"), std::string::npos);
-
-    // jobs backend without a fan-out count is meaningless.
-    err.clear();
-    EXPECT_NE(runCli({"tab1", "--backend=jobs"}, out, err), 0);
-    EXPECT_NE(err.find("--jobs"), std::string::npos);
 
     err.clear();
     EXPECT_NE(runCli({"tab1", "--backend=threads", "--jobs=2"}, out,
@@ -444,44 +428,92 @@ TEST(Cli, UsageMentionsTheQueueFlags)
 }
 
 #ifdef __unix__
-TEST(Cli, ScratchCacheDirTemplateHonorsTmpdir)
+namespace
 {
-    // Save and restore whatever the harness environment set.
-    const char *saved = std::getenv("TMPDIR");
-    const std::string saved_val = saved ? saved : "";
+
+/** Points TMPDIR at a fresh, test-owned directory for its lifetime. */
+class ScopedTmpdir
+{
+  public:
+    explicit ScopedTmpdir(const std::string &name)
+        : dir(::testing::TempDir() + name)
+    {
+        if (const char *old = std::getenv("TMPDIR"))
+            saved = old;
+        std::filesystem::remove_all(dir);
+        std::filesystem::create_directories(dir);
+        ::setenv("TMPDIR", dir.c_str(), 1);
+    }
+
+    ~ScopedTmpdir()
+    {
+        if (saved)
+            ::setenv("TMPDIR", saved->c_str(), 1);
+        else
+            ::unsetenv("TMPDIR");
+        std::filesystem::remove_all(dir);
+    }
+
+    const std::string dir;
+
+  private:
+    std::optional<std::string> saved;
+};
+
+} // namespace
+
+TEST(Cli, ScratchSpoolDirTemplateHonorsTmpdir)
+{
+    ScopedTmpdir tmp("bwsim-tmpdir-test");
 
     ::setenv("TMPDIR", "/some/scratch", 1);
-    EXPECT_EQ(cli::scratchCacheDirTemplate(),
-              "/some/scratch/bwsim-cache-XXXXXX");
+    EXPECT_EQ(cli::scratchSpoolDirTemplate(),
+              "/some/scratch/bwsim-spool-XXXXXX");
 
     // Trailing slashes must not double the separator.
     ::setenv("TMPDIR", "/some/scratch///", 1);
-    EXPECT_EQ(cli::scratchCacheDirTemplate(),
-              "/some/scratch/bwsim-cache-XXXXXX");
+    EXPECT_EQ(cli::scratchSpoolDirTemplate(),
+              "/some/scratch/bwsim-spool-XXXXXX");
 
     // Unset or empty falls back to /tmp like mktemp(1).
     ::unsetenv("TMPDIR");
-    EXPECT_EQ(cli::scratchCacheDirTemplate(), "/tmp/bwsim-cache-XXXXXX");
+    EXPECT_EQ(cli::scratchSpoolDirTemplate(), "/tmp/bwsim-spool-XXXXXX");
     ::setenv("TMPDIR", "", 1);
-    EXPECT_EQ(cli::scratchCacheDirTemplate(), "/tmp/bwsim-cache-XXXXXX");
+    EXPECT_EQ(cli::scratchSpoolDirTemplate(), "/tmp/bwsim-spool-XXXXXX");
 
-    // The template actually works: mkdtemp() materializes the scratch
-    // dir inside the TMPDIR the user asked for.
-    const std::string base = "/tmp/bwsim-tmpdir-test";
-    std::filesystem::remove_all(base);
-    std::filesystem::create_directories(base);
-    ::setenv("TMPDIR", base.c_str(), 1);
-    std::string tmpl_str = cli::scratchCacheDirTemplate();
-    ASSERT_EQ(tmpl_str.rfind(base + "/bwsim-cache-", 0), 0u);
+    // The template actually works: mkdtemp() materializes the spool
+    // inside the TMPDIR the user asked for.
+    ::setenv("TMPDIR", tmp.dir.c_str(), 1);
+    std::string tmpl_str = cli::scratchSpoolDirTemplate();
+    ASSERT_EQ(tmpl_str.rfind(tmp.dir + "/bwsim-spool-", 0), 0u);
     std::vector<char> tmpl(tmpl_str.begin(), tmpl_str.end());
     tmpl.push_back('\0');
     ASSERT_NE(::mkdtemp(tmpl.data()), nullptr);
     EXPECT_TRUE(std::filesystem::is_directory(tmpl.data()));
-    std::filesystem::remove_all(base);
+}
 
-    if (saved)
-        ::setenv("TMPDIR", saved_val.c_str(), 1);
-    else
-        ::unsetenv("TMPDIR");
+TEST(Cli, JobsPrintsTheSingleProcessTablesAndRemovesItsSpool)
+{
+    ScopedTmpdir tmp("bwsim-cli-jobs");
+    SimCache &cache = SimCache::global();
+    // Both runs start cold, so the --jobs one really simulates in its
+    // forked workers instead of recalling the first run's results.
+    std::string single, jobs, err;
+    cache.clear();
+    ASSERT_EQ(runCli({"fig4", "--benches=bfs,lbm", "--shrink=16"}, single,
+                     err),
+              0)
+        << err;
+    cache.clear();
+    ASSERT_EQ(runCli({"fig4", "--benches=bfs,lbm", "--shrink=16",
+                      "--jobs=2"},
+                     jobs, err),
+              0)
+        << err;
+    cache.clear();
+    EXPECT_EQ(jobs, single);
+    EXPECT_TRUE(err.empty()) << err;
+    EXPECT_TRUE(std::filesystem::is_empty(tmp.dir))
+        << "--jobs left its scratch spool in TMPDIR";
 }
 #endif // __unix__

@@ -232,6 +232,14 @@ TEST(Experiments, FromEnvRejectsMalformedIntegers)
             ::exit(0);
         },
         ::testing::ExitedWithCode(1), "BWSIM_SHRINK expects an integer");
+    // A negative thread count is rejected, not read as "hardware".
+    EXPECT_EXIT(
+        {
+            setenv("BWSIM_THREADS", "-3", 1);
+            (void)ExperimentOptions::fromEnv();
+            ::exit(0);
+        },
+        ::testing::ExitedWithCode(1), "BWSIM_THREADS must be >= 0");
 }
 
 TEST(Experiments, FromEnvReadsValidValues)

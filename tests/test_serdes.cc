@@ -2,7 +2,7 @@
  * @file
  * Tests for the binary serialization primitives (common/serdes.hh):
  * exact round trips, bounds-checked reads on truncated input, and the
- * FNV-1a hash used for checksums and shard assignment.
+ * FNV-1a hash used for checksums and spool file names.
  */
 
 #include <gtest/gtest.h>
